@@ -77,6 +77,18 @@ void BM_Ed25519Sign(benchmark::State& state) {
 }
 BENCHMARK(BM_Ed25519Sign);
 
+// The uncached path: signing from the bare seed pays for expand()
+// (SHA-512, clamp, base multiplication, compression) on every call.
+void BM_Ed25519SignSeed(benchmark::State& state) {
+  crypto::ed25519::Seed seed{};
+  seed[0] = 42;
+  const Bytes msg = bytes_of("a guest block digest: 32 bytes..");
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::ed25519::sign(seed, msg));
+  }
+}
+BENCHMARK(BM_Ed25519SignSeed);
+
 void BM_Ed25519Verify(benchmark::State& state) {
   const crypto::PrivateKey key = crypto::PrivateKey::from_label("bench");
   const Bytes msg = bytes_of("a guest block digest: 32 bytes..");

@@ -246,7 +246,8 @@ Ge ge_identity() { return Ge{fe_zero(), fe_one(), fe_one(), fe_zero()}; }
 Ge ge_double(const Ge& p) {
   const Fe a = fe_sq(p.x);
   const Fe b = fe_sq(p.y);
-  const Fe c = fe_carry(fe_add(fe_sq(p.z), fe_sq(p.z)));
+  const Fe zz = fe_sq(p.z);
+  const Fe c = fe_carry(fe_add(zz, zz));
   const Fe d = fe_neg(a);
   const Fe xy = fe_carry(fe_add(p.x, p.y));
   const Fe e = fe_carry(fe_sub(fe_carry(fe_sub(fe_sq(xy), a)), b));
@@ -327,6 +328,25 @@ Ge ge_sub_precomp(const Ge& p, const GePrecomp& q) {
   return Ge{fe_mul(e, f), fe_mul(g, h), fe_mul(f, g), fe_mul(e, h)};
 }
 
+// Converts projective points to affine precomputed form with a single
+// field inversion (Montgomery's trick: invert the product of every Z,
+// then peel each point's inverse off with the prefix products).
+void ge_to_precomp_batch(std::span<const Ge> pts, GePrecomp* out) {
+  const std::size_t n = pts.size();
+  std::vector<Fe> prefix(n);  // prefix[i] = z_0 * ... * z_i
+  prefix[0] = pts[0].z;
+  for (std::size_t i = 1; i < n; ++i) prefix[i] = fe_mul(prefix[i - 1], pts[i].z);
+  Fe inv = fe_invert(prefix[n - 1]);
+  for (std::size_t i = n; i-- > 0;) {
+    const Fe zi = i == 0 ? inv : fe_mul(inv, prefix[i - 1]);
+    inv = fe_mul(inv, pts[i].z);
+    const Fe x = fe_mul(pts[i].x, zi);
+    const Fe y = fe_mul(pts[i].y, zi);
+    out[i] = GePrecomp{fe_carry(fe_add(y, x)), fe_carry(fe_sub(y, x)),
+                       fe_mul(fe_mul(x, y), fe_2d())};
+  }
+}
+
 void ge_compress(std::uint8_t out[32], const Ge& p) {
   const Fe zi = fe_invert(p.z);
   const Fe x = fe_mul(p.x, zi);
@@ -390,7 +410,8 @@ const Ge& ge_base() {
 }
 
 // ---------------------------------------------------------------------------
-// Windowed-NAF scalar recoding and precomputed tables.
+// Scalar recoding and precomputed tables: windowed NAF for verification,
+// a signed radix-16 comb for signing's fixed-base multiplication.
 //
 // All scalar multiplications here are variable-time, as the seed's
 // double-and-add ladder already was; the simulation's threat model has
@@ -448,7 +469,7 @@ DynTable ge_dyn_table(const Ge& p) {
 }
 
 // Odd multiples {B, 3B, ..., 63B} of the base point in affine form,
-// built once (Montgomery batch inversion turns 32 Z-inversions into 1).
+// built once.  Verification's wNAF chains read it.
 struct BaseTable {
   GePrecomp mult[kBaseTableSize];
 };
@@ -457,44 +478,75 @@ const BaseTable& base_table() {
   static const BaseTable table = [] {
     Ge pts[kBaseTableSize];
     pts[0] = ge_base();
-    const Ge b2 = ge_double(ge_base());
-    const GeCached b2c = ge_cache(b2);
+    const GeCached b2c = ge_cache(ge_double(ge_base()));
     for (int i = 1; i < kBaseTableSize; ++i) pts[i] = ge_add_cached(pts[i - 1], b2c);
-
-    Fe prefix[kBaseTableSize];  // prefix[i] = z_0 * ... * z_i
-    prefix[0] = pts[0].z;
-    for (int i = 1; i < kBaseTableSize; ++i) prefix[i] = fe_mul(prefix[i - 1], pts[i].z);
-    Fe inv = fe_invert(prefix[kBaseTableSize - 1]);
-
     BaseTable t;
-    for (int i = kBaseTableSize - 1; i >= 0; --i) {
-      const Fe zi = i == 0 ? inv : fe_mul(inv, prefix[i - 1]);
-      inv = fe_mul(inv, pts[i].z);
-      const Fe x = fe_mul(pts[i].x, zi);
-      const Fe y = fe_mul(pts[i].y, zi);
-      t.mult[i] = GePrecomp{fe_carry(fe_add(y, x)), fe_carry(fe_sub(y, x)),
-                            fe_mul(fe_mul(x, y), fe_2d())};
-    }
+    ge_to_precomp_batch(pts, t.mult);
     return t;
   }();
   return table;
 }
 
-// r = [scalar]B via the static base table (w = 7 wNAF: ~253 doublings
-// plus ~36 mixed additions, versus 256 doublings + ~128 additions for
-// the plain ladder this replaces).
+// Signing's fixed-base comb: row i holds (j+1) * 256^i * B, j < 8, in
+// affine form at mult[i * kCombCols + j]; 32 x 8 entries (30 KiB),
+// built once.
+constexpr int kCombRows = 32;
+constexpr int kCombCols = 8;
+
+struct CombTable {
+  GePrecomp mult[kCombRows * kCombCols];
+};
+
+const CombTable& comb_table() {
+  static const CombTable table = [] {
+    std::vector<Ge> pts(kCombRows * kCombCols);
+    Ge row = ge_base();  // 256^i * B
+    for (int i = 0; i < kCombRows; ++i) {
+      Ge* mult = &pts[static_cast<std::size_t>(i * kCombCols)];
+      const GeCached rc = ge_cache(row);
+      mult[0] = row;
+      for (int j = 1; j < kCombCols; ++j) mult[j] = ge_add_cached(mult[j - 1], rc);
+      row = mult[kCombCols - 1];                         // 8 * 256^i * B
+      for (int k = 0; k < 5; ++k) row = ge_double(row);  // 256^(i+1) * B
+    }
+    CombTable t;
+    ge_to_precomp_batch(pts, t.mult);
+    return t;
+  }();
+  return table;
+}
+
+// r = [scalar]B for a little-endian scalar < 2^255, by ref10's signed
+// radix-16 comb.  The scalar is recoded as sum e[i] 16^i with every
+// e[i] in [-8, 8]; since 16^(2k+1) = 16 * 256^k,
+//   [scalar]B = 16 * sum_k [e[2k+1]] 256^k B + sum_k [e[2k]] 256^k B,
+// i.e. 64 table additions and 4 doublings in all.
 Ge ge_scalarmult_base(const std::uint8_t scalar[32]) {
-  signed char naf[257];
-  slide(naf, scalar, kWindowBase);
-  const BaseTable& bt = base_table();
-  int i = 256;
-  while (i >= 0 && !naf[i]) --i;
-  Ge r = ge_identity();
-  for (; i >= 0; --i) {
-    r = ge_double(r);
-    if (naf[i] > 0) r = ge_add_precomp(r, bt.mult[naf[i] >> 1]);
-    else if (naf[i] < 0) r = ge_sub_precomp(r, bt.mult[(-naf[i]) >> 1]);
+  int e[64];
+  for (int i = 0; i < 32; ++i) {
+    e[2 * i] = scalar[i] & 15;
+    e[2 * i + 1] = scalar[i] >> 4;
   }
+  // Recentre digits from [0, 16) into [-8, 8), carrying upward.  The
+  // top digit takes the last carry and stays <= 8 as scalar < 2^255.
+  int carry = 0;
+  for (int i = 0; i < 63; ++i) {
+    e[i] += carry;
+    carry = (e[i] + 8) >> 4;
+    e[i] -= carry * 16;
+  }
+  e[63] += carry;
+
+  const CombTable& ct = comb_table();
+  const auto add_digit = [&](Ge& r, int i) {
+    const GePrecomp* mult = &ct.mult[(i / 2) * kCombCols];
+    if (e[i] > 0) r = ge_add_precomp(r, mult[e[i] - 1]);
+    else if (e[i] < 0) r = ge_sub_precomp(r, mult[-e[i] - 1]);
+  };
+  Ge r = ge_identity();
+  for (int i = 1; i < 64; i += 2) add_digit(r, i);
+  for (int k = 0; k < 4; ++k) r = ge_double(r);
+  for (int i = 0; i < 64; i += 2) add_digit(r, i);
   return r;
 }
 
@@ -771,28 +823,23 @@ Digest512 hash3(ByteView a, ByteView b, ByteView c) {
 
 }  // namespace
 
-PublicKeyBytes derive_public(const Seed& seed) {
-  Digest512 h = Sha512::digest(ByteView{seed.data(), seed.size()});
-  std::uint8_t a[32];
-  std::memcpy(a, h.data(), 32);
-  clamp(a);
-  const Ge A = ge_scalarmult_base(a);
-  PublicKeyBytes out;
-  ge_compress(out.data(), A);
-  return out;
+ExpandedKey expand(const Seed& seed) {
+  const Digest512 h = Sha512::digest(ByteView{seed.data(), seed.size()});
+  ExpandedKey key{};
+  std::memcpy(key.scalar.data(), h.data(), 32);
+  clamp(key.scalar.data());
+  std::memcpy(key.prefix.data(), h.data() + 32, 32);
+  ge_compress(key.pub.data(), ge_scalarmult_base(key.scalar.data()));
+  return key;
 }
 
-SignatureBytes sign(const Seed& seed, ByteView msg) {
-  Digest512 h = Sha512::digest(ByteView{seed.data(), seed.size()});
-  std::uint8_t a_bytes[32];
-  std::memcpy(a_bytes, h.data(), 32);
-  clamp(a_bytes);
-  const ByteView prefix{h.data() + 32, 32};
+PublicKeyBytes derive_public(const Seed& seed) { return expand(seed).pub; }
 
-  const PublicKeyBytes pub = derive_public(seed);
+SignatureBytes sign(const Seed& seed, ByteView msg) { return sign(expand(seed), msg); }
 
+SignatureBytes sign(const ExpandedKey& key, ByteView msg) {
   // r = SHA512(prefix || msg) mod L
-  const Digest512 rh = hash3(prefix, msg, {});
+  const Digest512 rh = hash3(ByteView{key.prefix}, msg, {});
   const U256 r = sc_reduce_bytes(rh.data(), rh.size());
   std::uint8_t r_bytes[32];
   sc_to_bytes(r_bytes, r);
@@ -802,12 +849,11 @@ SignatureBytes sign(const Seed& seed, ByteView msg) {
   ge_compress(sig.data(), R);
 
   // k = SHA512(R || A || msg) mod L
-  const Digest512 kh =
-      hash3(ByteView{sig.data(), 32}, ByteView{pub.data(), pub.size()}, msg);
+  const Digest512 kh = hash3(ByteView{sig.data(), 32}, ByteView{key.pub}, msg);
   const U256 k = sc_reduce_bytes(kh.data(), kh.size());
 
   // S = (r + k * a) mod L
-  const U256 a = sc_reduce_bytes(a_bytes, 32);
+  const U256 a = sc_reduce_bytes(key.scalar.data(), 32);
   const U256 s = sc_add(r, sc_mul(k, a));
   sc_to_bytes(sig.data() + 32, s);
   return sig;

@@ -21,10 +21,24 @@ using Seed = std::array<std::uint8_t, 32>;
 using PublicKeyBytes = std::array<std::uint8_t, 32>;
 using SignatureBytes = std::array<std::uint8_t, 64>;
 
-/// Derives the public key for a 32-byte seed (RFC 8032 §5.1.5).
+/// A seed expanded once (RFC 8032 §5.1.5): everything signing needs,
+/// so a signature costs one fixed-base multiplication and two hashes.
+struct ExpandedKey {
+  std::array<std::uint8_t, 32> scalar;  ///< clamped secret scalar a
+  std::array<std::uint8_t, 32> prefix;  ///< nonce prefix, SHA-512(seed)[32..64)
+  PublicKeyBytes pub;                   ///< [a]B, compressed
+};
+
+/// Hashes and clamps `seed` and derives its public key.
+[[nodiscard]] ExpandedKey expand(const Seed& seed);
+
+/// Derives the public key for a 32-byte seed: `expand(seed).pub`.
 [[nodiscard]] PublicKeyBytes derive_public(const Seed& seed);
 
-/// Signs `msg` with the given seed (RFC 8032 §5.1.6).
+/// Signs `msg` with an expanded key (RFC 8032 §5.1.6).
+[[nodiscard]] SignatureBytes sign(const ExpandedKey& key, ByteView msg);
+
+/// Signs `msg` with the given seed: `sign(expand(seed), msg)`.
 [[nodiscard]] SignatureBytes sign(const Seed& seed, ByteView msg);
 
 /// Verifies a signature (RFC 8032 §5.1.7, cofactorless, strict S < L).

@@ -55,8 +55,9 @@ class Signature {
   ed25519::SignatureBytes raw_{};
 };
 
-/// A signing key.  Holds the 32-byte seed; the public key is derived
-/// once on construction.
+/// A signing key.  Holds the seed's expansion (clamped scalar, nonce
+/// prefix, public key), computed once on construction, so `sign` never
+/// hashes the seed or re-derives the public key.
 class PrivateKey {
  public:
   /// Deterministic key for tests/simulations: seed = SHA-256(label).
@@ -69,7 +70,7 @@ class PrivateKey {
  private:
   PrivateKey() = default;
 
-  ed25519::Seed seed_{};
+  ed25519::ExpandedKey key_{};
   PublicKey pub_;
 };
 
