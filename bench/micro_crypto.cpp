@@ -2,6 +2,10 @@
 // these costs are what the host chain's compute-unit model abstracts.
 #include <benchmark/benchmark.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "common/bytes.hpp"
 #include "crypto/ed25519.hpp"
 #include "crypto/keys.hpp"
@@ -148,6 +152,51 @@ void BM_Ed25519VerifySequential(benchmark::State& state) {
                           static_cast<int64_t>(n));
 }
 BENCHMARK(BM_Ed25519VerifySequential)->Arg(32);
+
+// `keys` distinct signers, each with one signature over its own
+// message; built once per size and kept for the process.
+const std::vector<crypto::ed25519::VerifyItem>& signed_pool(std::size_t keys) {
+  struct Pool {
+    std::vector<Bytes> msgs;
+    std::vector<crypto::ed25519::VerifyItem> items;
+  };
+  static std::map<std::size_t, Pool> pools;
+  Pool& pool = pools[keys];
+  if (pool.items.empty()) {
+    for (std::size_t i = 0; i < keys; ++i)
+      pool.msgs.push_back(bytes_of("roster message " + std::to_string(i)));
+    for (std::size_t i = 0; i < keys; ++i) {
+      const crypto::PrivateKey key =
+          crypto::PrivateKey::from_label("roster-" + std::to_string(i));
+      pool.items.push_back({key.public_key().raw(), ByteView{pool.msgs[i]},
+                            key.sign(pool.msgs[i]).raw()});
+    }
+  }
+  return pool.items;
+}
+
+// Verification at the host pre-compile's traffic shape: batches of 1, 4
+// and 17 signatures taken in turn from a recurring 177-key roster
+// (warm: after the first pass every key is in the verifier's key
+// cache), or from 1031 distinct keys, twice the cache's capacity, so
+// every key lookup misses (cold).
+void BM_Ed25519VerifyBatchRoster(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const bool warm = state.range(1) != 0;
+  const auto& pool = signed_pool(warm ? 177 : 1031);
+  std::vector<crypto::ed25519::VerifyItem> batch(n);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < n; ++i) batch[i] = pool[(next + i) % pool.size()];
+    next = (next + n) % pool.size();
+    benchmark::DoNotOptimize(crypto::ed25519::verify_batch(batch));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n));
+}
+BENCHMARK(BM_Ed25519VerifyBatchRoster)
+    ->ArgsProduct({{1, 4, 17}, {1, 0}})
+    ->ArgNames({"batch", "warm"});
 
 void BM_Ed25519DerivePublic(benchmark::State& state) {
   crypto::ed25519::Seed seed{};

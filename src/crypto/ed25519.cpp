@@ -1,6 +1,8 @@
 #include "crypto/ed25519.hpp"
 
 #include <cstring>
+#include <map>
+#include <memory>
 
 #include "common/parallel.hpp"
 #include "crypto/sha512.hpp"
@@ -54,18 +56,10 @@ Fe fe_carry(const Fe& a) {
   return r;
 }
 
-Fe fe_mul(const Fe& a, const Fe& b) {
-  using u128 = unsigned __int128;
-  const std::uint64_t a0 = a.v[0], a1 = a.v[1], a2 = a.v[2], a3 = a.v[3], a4 = a.v[4];
-  const std::uint64_t b0 = b.v[0], b1 = b.v[1], b2 = b.v[2], b3 = b.v[3], b4 = b.v[4];
-  const std::uint64_t b1_19 = b1 * 19, b2_19 = b2 * 19, b3_19 = b3 * 19, b4_19 = b4 * 19;
+using u128 = unsigned __int128;
 
-  u128 t0 = (u128)a0 * b0 + (u128)a1 * b4_19 + (u128)a2 * b3_19 + (u128)a3 * b2_19 + (u128)a4 * b1_19;
-  u128 t1 = (u128)a0 * b1 + (u128)a1 * b0 + (u128)a2 * b4_19 + (u128)a3 * b3_19 + (u128)a4 * b2_19;
-  u128 t2 = (u128)a0 * b2 + (u128)a1 * b1 + (u128)a2 * b0 + (u128)a3 * b4_19 + (u128)a4 * b3_19;
-  u128 t3 = (u128)a0 * b3 + (u128)a1 * b2 + (u128)a2 * b1 + (u128)a3 * b0 + (u128)a4 * b4_19;
-  u128 t4 = (u128)a0 * b4 + (u128)a1 * b3 + (u128)a2 * b2 + (u128)a3 * b1 + (u128)a4 * b0;
-
+// Carries a product's five 128-bit column sums into limbs below ~2^52.
+Fe fe_carry_wide(u128 t0, u128 t1, u128 t2, u128 t3, u128 t4) {
   Fe r;
   std::uint64_t c;
   r.v[0] = (std::uint64_t)t0 & kMask51; c = (std::uint64_t)(t0 >> 51);
@@ -82,7 +76,36 @@ Fe fe_mul(const Fe& a, const Fe& b) {
   return r;
 }
 
-Fe fe_sq(const Fe& a) { return fe_mul(a, a); }
+Fe fe_mul(const Fe& a, const Fe& b) {
+  const std::uint64_t a0 = a.v[0], a1 = a.v[1], a2 = a.v[2], a3 = a.v[3], a4 = a.v[4];
+  const std::uint64_t b0 = b.v[0], b1 = b.v[1], b2 = b.v[2], b3 = b.v[3], b4 = b.v[4];
+  const std::uint64_t b1_19 = b1 * 19, b2_19 = b2 * 19, b3_19 = b3 * 19, b4_19 = b4 * 19;
+
+  u128 t0 = (u128)a0 * b0 + (u128)a1 * b4_19 + (u128)a2 * b3_19 + (u128)a3 * b2_19 + (u128)a4 * b1_19;
+  u128 t1 = (u128)a0 * b1 + (u128)a1 * b0 + (u128)a2 * b4_19 + (u128)a3 * b3_19 + (u128)a4 * b2_19;
+  u128 t2 = (u128)a0 * b2 + (u128)a1 * b1 + (u128)a2 * b0 + (u128)a3 * b4_19 + (u128)a4 * b3_19;
+  u128 t3 = (u128)a0 * b3 + (u128)a1 * b2 + (u128)a2 * b1 + (u128)a3 * b0 + (u128)a4 * b4_19;
+  u128 t4 = (u128)a0 * b4 + (u128)a1 * b3 + (u128)a2 * b2 + (u128)a3 * b1 + (u128)a4 * b0;
+
+  return fe_carry_wide(t0, t1, t2, t3, t4);
+}
+
+// fe_mul(a, a) with the symmetric cross products merged: 15 limb
+// products instead of 25.  Each t_i is the same integer fe_mul sums,
+// so the limbs (and every carry) come out identical.
+Fe fe_sq(const Fe& a) {
+  const std::uint64_t a0 = a.v[0], a1 = a.v[1], a2 = a.v[2], a3 = a.v[3], a4 = a.v[4];
+  const std::uint64_t d0 = a0 * 2, d1 = a1 * 2, d2 = a2 * 2;
+  const std::uint64_t a3_19 = a3 * 19, a4_19 = a4 * 19;
+
+  u128 t0 = (u128)a0 * a0 + (u128)d1 * a4_19 + (u128)d2 * a3_19;
+  u128 t1 = (u128)d0 * a1 + (u128)d2 * a4_19 + (u128)a3 * a3_19;
+  u128 t2 = (u128)d0 * a2 + (u128)a1 * a1 + (u128)(a3 * 2) * a4_19;
+  u128 t3 = (u128)d0 * a3 + (u128)d1 * a2 + (u128)a4 * a4_19;
+  u128 t4 = (u128)d0 * a4 + (u128)d1 * a3 + (u128)a2 * a2;
+
+  return fe_carry_wide(t0, t1, t2, t3, t4);
+}
 
 Fe fe_neg(const Fe& a) { return fe_carry(fe_sub(fe_zero(), a)); }
 
@@ -420,71 +443,134 @@ const Ge& ge_base() {
 
 // Digits of the dynamic (per-point) window: odd, |digit| <= 15 (w = 5).
 constexpr int kWindowDyn = 5;
+constexpr int kDynTableSize = 1 << (kWindowDyn - 2);  // odd multiples 1P..15P
 // Digits of the static base-point window: odd, |digit| <= 63 (w = 7).
 constexpr int kWindowBase = 7;
 constexpr int kBaseTableSize = 1 << (kWindowBase - 2);  // odd multiples 1B..63B
 
-// Signed sliding-window recoding of a little-endian scalar (< 2^253):
-// r[0..256] with r[i] zero or odd, |r[i]| < 2^(w-1), and
-// sum r[i] 2^i == scalar.
-void slide(signed char* r, const std::uint8_t a[32], int w) {
-  for (int i = 0; i < 256; ++i) r[i] = 1 & (a[i >> 3] >> (i & 7));
-  r[256] = 0;
-  const int bound = 1 << (w - 1);
-  for (int i = 0; i < 256; ++i) {
-    if (!r[i]) continue;
-    for (int b = 1; b < w && i + b <= 256; ++b) {
-      if (!r[i + b]) continue;
-      if (r[i] + (r[i + b] << b) <= bound - 1) {
-        r[i] += static_cast<signed char>(r[i + b] << b);
-        r[i + b] = 0;
-      } else if (r[i] - (r[i + b] << b) >= -(bound - 1)) {
-        r[i] -= static_cast<signed char>(r[i + b] << b);
-        // Borrowed a subtraction: carry +1 upward.
-        for (int k = i + b; k <= 256; ++k) {
-          if (!r[k]) {
-            r[k] = 1;
-            break;
-          }
-          r[k] = 0;
-        }
-      } else {
-        break;
-      }
-    }
+// Verification splits every scalar below 2^256 into 128-bit halves,
+// x = lo + 2^128 hi, and multiplies the high half against a table of
+// 2^128 P, so a Straus chain runs at most kHalfBits + 1 doublings where
+// a full-width scalar needs ~253.
+constexpr int kHalfBits = 128;
+using Naf = std::array<signed char, kHalfBits + 1>;
+
+// Width-w NAF of a little-endian 128-bit scalar: r[0..128] with r[i]
+// zero or odd, |r[i]| < 2^(w-1), at least w - 1 zeros after every
+// nonzero digit, and sum r[i] 2^i == scalar.  Runs of bits equal to
+// the pending carry are skipped a word at a time.
+void wnaf(Naf& r, const std::uint8_t a[kHalfBits / 8], int w) {
+  u128 v = 0;
+  for (int i = kHalfBits / 8 - 1; i >= 0; --i) v = (v << 8) | a[i];
+  r.fill(0);
+  const u128 mask = (u128{1} << w) - 1;
+  int carry = 0;
+  for (int bit = 0;;) {
+    // Next bit that differs from the carry; bits past 127 read as 0.
+    const u128 rest = carry ? ~(v >> bit) : v >> bit;
+    if (rest == 0) break;
+    const auto lo = static_cast<std::uint64_t>(rest);
+    bit += lo ? __builtin_ctzll(lo) : 64 + __builtin_ctzll(static_cast<std::uint64_t>(rest >> 64));
+    if (bit >= kHalfBits) break;
+    int digit = static_cast<int>((v >> bit) & mask) + carry;  // odd, in [1, 2^w)
+    carry = digit >> (w - 1);
+    digit -= carry << w;
+    r[bit] = static_cast<signed char>(digit);
+    bit += w;
+    if (bit >= kHalfBits) break;
   }
+  r[kHalfBits] = static_cast<signed char>(carry);
 }
 
-// Odd multiples {P, 3P, 5P, ..., 15P} in cached form, for w = 5 wNAF.
+// out[i] = (2i + 1) P for i < n, in projective form.
+void odd_multiples(const Ge& p, Ge* out, int n) {
+  out[0] = p;
+  const GeCached p2 = ge_cache(ge_double(p));
+  for (int i = 1; i < n; ++i) out[i] = ge_add_cached(out[i - 1], p2);
+}
+
+// Odd multiples {P, 3P, ..., 15P} in cached form, for w = 5 wNAF over
+// a point used once (a signature's R).
 struct DynTable {
-  GeCached mult[8];
+  GeCached mult[kDynTableSize];
 };
 
 DynTable ge_dyn_table(const Ge& p) {
+  Ge pts[kDynTableSize];
+  odd_multiples(p, pts, kDynTableSize);
   DynTable t;
-  t.mult[0] = ge_cache(p);
-  const Ge p2 = ge_double(p);
-  for (int i = 1; i < 8; ++i) t.mult[i] = ge_cache(ge_add_cached(p2, t.mult[i - 1]));
+  for (int i = 0; i < kDynTableSize; ++i) t.mult[i] = ge_cache(pts[i]);
   return t;
 }
 
-// Odd multiples {B, 3B, ..., 63B} of the base point in affine form,
-// built once.  Verification's wNAF chains read it.
-struct BaseTable {
-  GePrecomp mult[kBaseTableSize];
+// The odd multiples of P (mult[0]) and of 2^128 P (mult[1]) in affine
+// form: the tables a split scalar's low and high halves read.
+template <int N>
+struct SplitTable {
+  GePrecomp mult[2][N];
 };
 
+template <int N>
+SplitTable<N> split_table(const Ge& p) {
+  Ge pts[2 * N];
+  odd_multiples(p, pts, N);
+  Ge hi = p;
+  for (int i = 0; i < kHalfBits; ++i) hi = ge_double(hi);
+  odd_multiples(hi, pts + N, N);
+  SplitTable<N> t;
+  ge_to_precomp_batch(pts, &t.mult[0][0]);
+  return t;
+}
+
+// The base point's split w = 7 tables (B and 2^128 B, 7.5 KiB), built
+// once.  Verification's Straus chains read them.
+using BaseTable = SplitTable<kBaseTableSize>;
+
 const BaseTable& base_table() {
-  static const BaseTable table = [] {
-    Ge pts[kBaseTableSize];
-    pts[0] = ge_base();
-    const GeCached b2c = ge_cache(ge_double(ge_base()));
-    for (int i = 1; i < kBaseTableSize; ++i) pts[i] = ge_add_cached(pts[i - 1], b2c);
-    BaseTable t;
-    ge_to_precomp_batch(pts, t.mult);
-    return t;
-  }();
+  static const BaseTable table = split_table<kBaseTableSize>(ge_base());
   return table;
+}
+
+// One term of a Straus chain: a 128-bit scalar half's w-NAF digits and
+// the odd multiples of its point they index, affine (a cached key or
+// the base point) or cached (a point used once).
+struct AffineTerm {
+  Naf naf;
+  const GePrecomp* mult;
+};
+
+struct CachedTerm {
+  Naf naf;
+  DynTable table;
+};
+
+// r = sum of every term's [scalar]P — generalized Straus: one shared
+// doubling chain of at most kHalfBits + 1 steps however many terms.
+Ge ge_straus(std::span<const AffineTerm> affine, std::span<const CachedTerm> cached) {
+  const auto any_digit = [&](int i) {
+    for (const AffineTerm& t : affine)
+      if (t.naf[i]) return true;
+    for (const CachedTerm& t : cached)
+      if (t.naf[i]) return true;
+    return false;
+  };
+  int i = kHalfBits;
+  while (i >= 0 && !any_digit(i)) --i;
+  Ge r = ge_identity();
+  for (; i >= 0; --i) {
+    r = ge_double(r);
+    for (const CachedTerm& t : cached) {
+      const signed char d = t.naf[i];
+      if (d > 0) r = ge_add_cached(r, t.table.mult[d >> 1]);
+      else if (d < 0) r = ge_sub_cached(r, t.table.mult[(-d) >> 1]);
+    }
+    for (const AffineTerm& t : affine) {
+      const signed char d = t.naf[i];
+      if (d > 0) r = ge_add_precomp(r, t.mult[d >> 1]);
+      else if (d < 0) r = ge_sub_precomp(r, t.mult[(-d) >> 1]);
+    }
+  }
+  return r;
 }
 
 // Signing's fixed-base comb: row i holds (j+1) * 256^i * B, j < 8, in
@@ -547,73 +633,6 @@ Ge ge_scalarmult_base(const std::uint8_t scalar[32]) {
   for (int i = 1; i < 64; i += 2) add_digit(r, i);
   for (int k = 0; k < 4; ++k) r = ge_double(r);
   for (int i = 0; i < 64; i += 2) add_digit(r, i);
-  return r;
-}
-
-// r = [a]A + [b]B (Straus/Shamir: one shared doubling chain).
-Ge ge_double_scalarmult(const std::uint8_t a[32], const Ge& A, const std::uint8_t b[32]) {
-  signed char anaf[257], bnaf[257];
-  slide(anaf, a, kWindowDyn);
-  slide(bnaf, b, kWindowBase);
-  const DynTable at = ge_dyn_table(A);
-  const BaseTable& bt = base_table();
-  int i = 256;
-  while (i >= 0 && !anaf[i] && !bnaf[i]) --i;
-  Ge r = ge_identity();
-  for (; i >= 0; --i) {
-    r = ge_double(r);
-    if (anaf[i] > 0) r = ge_add_cached(r, at.mult[anaf[i] >> 1]);
-    else if (anaf[i] < 0) r = ge_sub_cached(r, at.mult[(-anaf[i]) >> 1]);
-    if (bnaf[i] > 0) r = ge_add_precomp(r, bt.mult[bnaf[i] >> 1]);
-    else if (bnaf[i] < 0) r = ge_sub_precomp(r, bt.mult[(-bnaf[i]) >> 1]);
-  }
-  return r;
-}
-
-// r = [base_scalar]B + sum [scalars[j]]points[j] — generalized Straus
-// for batch verification.  One doubling chain regardless of how many
-// points are combined.
-struct MsmEntry {
-  Ge point;
-  std::uint8_t scalar[32];
-};
-
-Ge ge_multi_scalarmult(const std::uint8_t base_scalar[32],
-                       const std::vector<MsmEntry>& entries) {
-  const std::size_t n = entries.size();
-  // Reused per thread: one MSM runs per batch-verify shard, and the
-  // working set (NAF digits + per-point tables) would otherwise be two
-  // fresh heap blocks per call.
-  thread_local std::vector<std::array<signed char, 257>> nafs;
-  thread_local std::vector<DynTable> tables;
-  nafs.assign(n, {});
-  tables.resize(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    slide(nafs[j].data(), entries[j].scalar, kWindowDyn);
-    tables[j] = ge_dyn_table(entries[j].point);
-  }
-  signed char bnaf[257];
-  slide(bnaf, base_scalar, kWindowBase);
-  const BaseTable& bt = base_table();
-
-  int i = 256;
-  for (; i >= 0; --i) {
-    if (bnaf[i]) break;
-    bool any = false;
-    for (std::size_t j = 0; j < n && !any; ++j) any = nafs[j][static_cast<std::size_t>(i)] != 0;
-    if (any) break;
-  }
-  Ge r = ge_identity();
-  for (; i >= 0; --i) {
-    r = ge_double(r);
-    for (std::size_t j = 0; j < n; ++j) {
-      const signed char d = nafs[j][static_cast<std::size_t>(i)];
-      if (d > 0) r = ge_add_cached(r, tables[j].mult[d >> 1]);
-      else if (d < 0) r = ge_sub_cached(r, tables[j].mult[(-d) >> 1]);
-    }
-    if (bnaf[i] > 0) r = ge_add_precomp(r, bt.mult[bnaf[i] >> 1]);
-    else if (bnaf[i] < 0) r = ge_sub_precomp(r, bt.mult[(-bnaf[i]) >> 1]);
-  }
   return r;
 }
 
@@ -861,11 +880,42 @@ SignatureBytes sign(const ExpandedKey& key, ByteView msg) {
 
 namespace {
 
+// ---------------------------------------------------------------------------
+// Per-thread signer-key cache.  Verification traffic repeats a small
+// roster of validator keys far more often than whole (key, message,
+// signature) triples, so the memo is keyed on the key: its 32 encoded
+// bytes map to the decompression outcome and, for a valid key, the
+// split w = 5 tables of -A.  Both are pure functions of those bytes,
+// so a hit returns exactly what a miss computes and no verdict can
+// depend on what the cache holds.
+// ---------------------------------------------------------------------------
+
+using KeyTable = SplitTable<kDynTableSize>;
+/// Null when the encoding does not decompress to a curve point.  Shared
+/// so a batch's candidates keep their tables across an eviction.
+using KeyRef = std::shared_ptr<const KeyTable>;
+
+/// At least twice the largest validator roster (184 keys); a full
+/// cache is cleared and refilled.
+constexpr std::size_t kKeyCacheCapacity = 512;
+
+KeyRef decode_key(const PublicKeyBytes& pub) {
+  thread_local std::map<PublicKeyBytes, KeyRef> cache;
+  if (const auto it = cache.find(pub); it != cache.end()) return it->second;
+  if (cache.size() >= kKeyCacheCapacity) cache.clear();
+  KeyRef ref;
+  Ge A;
+  if (ge_decompress(A, pub.data()))
+    ref = std::make_shared<const KeyTable>(split_table<kDynTableSize>(ge_neg(A)));
+  cache.emplace(pub, ref);
+  return ref;
+}
+
 // Everything `verify` rejects before touching the curve equation, plus
 // the decoded values the equation needs.  Shared by the single and
 // batched paths so both enforce identical rules.
 struct DecodedSig {
-  Ge A;       // the public key
+  KeyRef A;   // the public key's split tables of -A
   Ge R;       // the signature's commitment point
   U256 k;     // SHA512(R || A || msg) mod L
   U256 s;     // the signature scalar
@@ -874,7 +924,8 @@ struct DecodedSig {
 bool decode_for_verify(const PublicKeyBytes& pub, ByteView msg, const SignatureBytes& sig,
                        DecodedSig& out) {
   if (!sc_is_canonical(sig.data() + 32)) return false;
-  if (!ge_decompress(out.A, pub.data())) return false;
+  out.A = decode_key(pub);
+  if (!out.A) return false;
   if (!ge_decompress(out.R, sig.data())) return false;
   const Digest512 kh =
       hash3(ByteView{sig.data(), 32}, ByteView{pub.data(), pub.size()}, msg);
@@ -883,14 +934,26 @@ bool decode_for_verify(const PublicKeyBytes& pub, ByteView msg, const SignatureB
   return true;
 }
 
+// Writes the two Straus terms of [x]P, x = lo + 2^128 hi, over P's
+// split table.
+template <int N>
+void split_terms(AffineTerm out[2], const U256& x, const SplitTable<N>& t, int w) {
+  std::uint8_t bytes[32];
+  sc_to_bytes(bytes, x);
+  wnaf(out[0].naf, bytes, w);
+  wnaf(out[1].naf, bytes + kHalfBits / 8, w);
+  out[0].mult = t.mult[0];
+  out[1].mult = t.mult[1];
+}
+
 // The cofactorless check [S]B == R + [k]A, given decoded inputs.
 bool check_equation(const DecodedSig& d, const std::uint8_t* r_bytes) {
-  std::uint8_t k_bytes[32], s_bytes[32];
-  sc_to_bytes(k_bytes, d.k);
-  sc_to_bytes(s_bytes, d.s);
   // [S]B + [k](-A) must compress back to the signature's R bytes.  R
   // decompressed canonically, so byte equality == point equality.
-  const Ge lhs = ge_double_scalarmult(k_bytes, ge_neg(d.A), s_bytes);
+  AffineTerm terms[4];
+  split_terms(terms, d.k, *d.A, kWindowDyn);
+  split_terms(terms + 2, d.s, base_table(), kWindowBase);
+  const Ge lhs = ge_straus(terms, {});
   std::uint8_t lhs_bytes[32];
   ge_compress(lhs_bytes, lhs);
   return std::memcmp(lhs_bytes, r_bytes, 32) == 0;
@@ -931,7 +994,7 @@ void verify_batch_range(std::span<const VerifyItem> items, std::uint8_t* ok) {
   for (std::size_t i = 0; i < items.size(); ++i) {
     DecodedSig d;
     if (decode_for_verify(items[i].pub, items[i].msg, items[i].sig, d))
-      cand.push_back({i, d});
+      cand.push_back({i, std::move(d)});
   }
   if (cand.empty()) return;
   if (cand.size() == 1) {
@@ -957,11 +1020,12 @@ void verify_batch_range(std::span<const VerifyItem> items, std::uint8_t* ok) {
   const Digest512 root = transcript.finish();
 
   // Combined equation: [sum z_i S_i]B + sum [z_i](-R_i) + sum [z_i k_i](-A_i)
-  // must be the identity.
+  // must be the identity.  z_i < 2^128 needs no split.
   U256 b_comb = {{0, 0, 0, 0}};
-  thread_local std::vector<MsmEntry> entries;
-  entries.clear();
-  entries.reserve(cand.size() * 2);
+  thread_local std::vector<AffineTerm> affine;
+  thread_local std::vector<CachedTerm> cached;
+  affine.resize(2 * cand.size() + 2);
+  cached.resize(cand.size());
   for (std::size_t j = 0; j < cand.size(); ++j) {
     Sha512 zh;
     zh.update(ByteView{root.data(), root.size()});
@@ -978,18 +1042,12 @@ void verify_batch_range(std::span<const VerifyItem> items, std::uint8_t* ok) {
 
     const DecodedSig& d = cand[j].d;
     b_comb = sc_add(b_comb, sc_mul(z, d.s));
-    MsmEntry er;
-    er.point = ge_neg(d.R);
-    sc_to_bytes(er.scalar, z);
-    entries.push_back(er);
-    MsmEntry ea;
-    ea.point = ge_neg(d.A);
-    sc_to_bytes(ea.scalar, sc_mul(z, d.k));
-    entries.push_back(ea);
+    wnaf(cached[j].naf, z_bytes, kWindowDyn);
+    cached[j].table = ge_dyn_table(ge_neg(d.R));
+    split_terms(&affine[2 * j], sc_mul(z, d.k), *d.A, kWindowDyn);
   }
-  std::uint8_t b_bytes[32];
-  sc_to_bytes(b_bytes, b_comb);
-  if (ge_is_identity(ge_multi_scalarmult(b_bytes, entries))) {
+  split_terms(&affine[2 * cand.size()], b_comb, base_table(), kWindowBase);
+  if (ge_is_identity(ge_straus(affine, cached))) {
     for (const Candidate& c : cand) ok[c.idx] = 1;
     return;
   }

@@ -5,6 +5,16 @@
 
 namespace bmg::relayer {
 
+namespace {
+
+/// How long open_ibc() pumps for any one set-up step that must
+/// complete: 48 simulated hours, the benchmark's drain cap.  A guest
+/// validator outage stalls finalisation, so a tighter bound would turn
+/// a long but recoverable outage into a failed deployment.
+constexpr double kSetupDeadlineS = 48 * 3600.0;
+
+}  // namespace
+
 host::FeePolicy priority_fee_for_usd(double usd, std::uint64_t expected_cu) {
   const double base_usd = host::lamports_to_usd(host::kLamportsPerSignature);
   const double target = usd > base_usd ? usd - base_usd : 0.0;
@@ -205,7 +215,7 @@ ibc::Height Deployment::wait_guest_commit() {
         const auto& head = guest_->head();
         return head.finalised && head.header.state_root == target;
       },
-      600.0);
+      kSetupDeadlineS);
   if (!ok) throw std::runtime_error("deployment: guest block did not finalise in time");
   // Find the first finalised block committing the target root.
   for (ibc::Height h = guest_->head().header.height;; --h) {
@@ -236,7 +246,7 @@ void Deployment::guest_handshake_call(ByteView payload) {
                               done = true;
                               ok = out.ok;
                             });
-  if (!run_until([&] { return done; }, 300.0) || !ok)
+  if (!run_until([&] { return done; }, kSetupDeadlineS) || !ok)
     throw std::runtime_error("deployment: handshake transaction failed");
 }
 
@@ -279,7 +289,7 @@ void Deployment::open_ibc() {
   {
     bool updated = false;
     relayer_->update_guest_client(ch, [&] { updated = true; });
-    if (!run_until([&] { return updated; }, 600.0))
+    if (!run_until([&] { return updated; }, kSetupDeadlineS))
       throw std::runtime_error("deployment: guest client update failed");
     Encoder e;
     e.u8(static_cast<std::uint8_t>(guest::HandshakeOp::kConnOpenAck));
@@ -336,7 +346,7 @@ void Deployment::open_ibc() {
   {
     bool updated = false;
     relayer_->update_guest_client(ch, [&] { updated = true; });
-    if (!run_until([&] { return updated; }, 600.0))
+    if (!run_until([&] { return updated; }, kSetupDeadlineS))
       throw std::runtime_error("deployment: guest client update failed");
     Encoder e;
     e.u8(static_cast<std::uint8_t>(guest::HandshakeOp::kChanOpenAck));

@@ -1,7 +1,7 @@
 // Signing through the expanded key and the radix-16 comb: golden
 // outputs from the wNAF base multiplication it replaced, agreement of
 // every signing entry point, and random signatures checked by the
-// (unchanged, wNAF-based) verify and verify_batch paths.
+// verify and verify_batch paths, which share none of the comb's code.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -12,28 +12,10 @@
 #include "crypto/ed25519.hpp"
 #include "crypto/keys.hpp"
 #include "crypto/sha256.hpp"
+#include "ed25519_vectors.hpp"
 
 namespace bmg::crypto::ed25519 {
 namespace {
-
-struct GoldenKey {
-  const char* pub_hex;
-  const char* sig_hex[4];
-};
-
-const GoldenKey kGolden[] = {
-#include "ed25519_golden.inc"
-};
-
-// The four messages every golden key signs: empty, 32 bytes, 95 bytes
-// (prefix || msg is then one byte short of a SHA-512 block) and 1023
-// bytes.
-std::vector<Bytes> golden_messages() {
-  Bytes m1023(1023);
-  for (std::size_t i = 0; i < m1023.size(); ++i)
-    m1023[i] = static_cast<std::uint8_t>(i * 131 + 7);
-  return {Bytes{}, bytes_of("a guest block digest: 32 bytes.."), Bytes(95, 0xA5), m1023};
-}
 
 Seed label_seed(const std::string& label) {
   const Hash32 h = Sha256::digest(bytes_of(label));
@@ -73,7 +55,7 @@ TEST(Ed25519Sign, SeedExpandedAndPrivateKeyPathsAgree) {
 
 // Random seeds drive random clamped scalars and nonces through the
 // comb's digit recoding, including its carry chains; verify and
-// verify_batch check each result on their own wNAF table.
+// verify_batch check each result on their own wNAF tables.
 TEST(Ed25519Sign, RandomSignaturesPassVerifyAndBatch) {
   Rng rng(0x5eed'c0b0'0000'0001ULL);
   constexpr std::size_t kCount = 1000;

@@ -314,6 +314,37 @@ TEST(CrashChaos, ValidatorCrashWithinQuorumSlackKeepsFinalising) {
   EXPECT_EQ(d.validators()[0]->crash_count(), 1u);
 }
 
+TEST(CrashChaos, OpenIbcOutlastsLongGuestValidatorOutage) {
+  // Three equal signers: the quorum (201 of 300 stake) needs all of
+  // them, so one dark validator stalls guest finalisation.  Its 1500 s
+  // window covers the handshake's first guest commit, which set-up
+  // must wait out rather than abort on.
+  DeploymentConfig cfg = crash_config(chaos_seed() + 31);
+  cfg.validators.pop_back();
+  constexpr double kOutageEnd = 1501.0;
+  cfg.host.fault.crash(1.0, kOutageEnd, "crash-val-0");
+  Deployment d(std::move(cfg));
+  audit::InvariantAuditor auditor(d.sim(), d.host(), d.guest(), d.cp());
+  auditor.start();
+  d.open_ibc();
+  EXPECT_GT(d.sim().now(), kOutageEnd);
+  EXPECT_EQ(d.validators()[0]->crash_count(), 1u);
+  EXPECT_TRUE(d.validators()[0]->running());
+  auditor.watch_client(d.guest_client_on_cp());
+  auditor.watch_transfer_lane(
+      audit::TransferLane{d.guest_channel(), d.cp_channel(), "SOL", "PICA"});
+
+  const ibc::Packet packet = d.send_transfer_from_cp(21);
+  ASSERT_TRUE(d.run_until(
+      [&] {
+        return d.guest().ibc().packet_received("transfer", d.guest_channel(),
+                                               packet.sequence);
+      },
+      600.0));
+  auditor.check_now("final");
+  EXPECT_TRUE(auditor.clean()) << auditor.report();
+}
+
 // --- fisherman crash-restart -------------------------------------------------
 
 TEST(CrashChaos, FishermanRestartDoesNotDoubleProsecute) {
