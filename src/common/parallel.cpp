@@ -1,197 +1,25 @@
 #include "common/parallel.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <condition_variable>
-#include <cstdint>
-#include <cstdlib>
-#include <exception>
-#include <mutex>
-#include <thread>
-#include <vector>
+
+#include "common/worker_pool.hpp"
 
 namespace bmg::parallel {
 
 namespace {
 
-/// Workers beyond this are wasted on every path we shard (quorum
-/// batches top out at a few hundred signatures).
-constexpr std::size_t kMaxThreads = 64;
-
 thread_local bool t_in_region = false;
 
-std::size_t default_thread_count() {
-  if (const char* env = std::getenv("BMG_THREADS")) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && v > 0)
-      return std::min<std::size_t>(static_cast<std::size_t>(v), kMaxThreads);
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return std::clamp<std::size_t>(hw, 1, kMaxThreads);
+WorkerPool& pool() {
+  static WorkerPool instance("BMG_THREADS");
+  return instance;
 }
-
-/// One fork-join dispatch: a fixed shard partition plus completion
-/// accounting.  Participants pull shard indices from `next`; which
-/// thread runs which shard is the *only* scheduling freedom, and
-/// shard bodies neither observe nor depend on it.
-struct Job {
-  const ShardFn* fn = nullptr;
-  std::size_t n = 0;
-  std::size_t shard_size = 0;
-  std::size_t num_shards = 0;
-  std::atomic<std::size_t> next{0};
-  /// Pool threads that have drained the queue and will not touch this
-  /// Job again.  run() returns only once every pool thread retired, so
-  /// the stack-allocated Job cannot be used after free.
-  std::size_t retired = 0;
-  std::vector<std::exception_ptr> errors;  // indexed by shard
-
-  void run_shard(std::size_t s) noexcept {
-    const std::size_t begin = s * shard_size;
-    const std::size_t end = std::min(begin + shard_size, n);
-    try {
-      (*fn)(begin, end, s);
-    } catch (...) {
-      errors[s] = std::current_exception();
-    }
-  }
-
-  void drain() noexcept {
-    t_in_region = true;
-    for (std::size_t s = next.fetch_add(1); s < num_shards; s = next.fetch_add(1))
-      run_shard(s);
-    t_in_region = false;
-  }
-};
-
-/// The process-wide pool.  Workers park on a condition variable and
-/// wake per dispatch; the submitting thread participates in the job,
-/// so `threads` counts it too (threads == 1 → zero pool threads).
-class Pool {
- public:
-  static Pool& instance() {
-    static Pool pool;
-    return pool;
-  }
-
-  std::size_t threads() {
-    std::lock_guard<std::mutex> lock(config_mutex_);
-    ensure_started_locked();
-    return threads_;
-  }
-
-  void set_threads(std::size_t n) {
-    std::lock_guard<std::mutex> submit(submit_mutex_);  // not during a dispatch
-    std::lock_guard<std::mutex> lock(config_mutex_);
-    stop_workers_locked();
-    threads_ = n == 0 ? default_thread_count() : std::min(n, kMaxThreads);
-    started_ = true;
-    spawn_workers_locked();
-  }
-
-  void run(Job& job) {
-    // One dispatch at a time: concurrent submitters (none of the wired
-    // paths create any, but user code may) queue here rather than
-    // corrupting the single job slot.
-    std::lock_guard<std::mutex> submit(submit_mutex_);
-    std::size_t helpers;
-    {
-      std::lock_guard<std::mutex> lock(config_mutex_);
-      ensure_started_locked();
-      helpers = workers_.size();
-    }
-    {
-      std::lock_guard<std::mutex> lock(job_mutex_);
-      job_ = &job;
-      ++generation_;
-    }
-    job_cv_.notify_all();
-
-    // The submitter works the same shard queue as the pool threads.
-    job.drain();
-
-    // Every pool thread must retire from this dispatch before the Job
-    // leaves scope.  A retired thread has finished any shard it
-    // claimed, so full retirement implies all shards completed; the
-    // mutex handshake makes their writes visible here.
-    std::unique_lock<std::mutex> lock(job_mutex_);
-    done_cv_.wait(lock, [&] { return job.retired == helpers; });
-    job_ = nullptr;
-  }
-
- private:
-  Pool() = default;
-  ~Pool() {
-    std::lock_guard<std::mutex> lock(config_mutex_);
-    stop_workers_locked();
-  }
-
-  void ensure_started_locked() {
-    if (started_) return;
-    threads_ = default_thread_count();
-    started_ = true;
-    spawn_workers_locked();
-  }
-
-  void spawn_workers_locked() {
-    stopping_ = false;
-    for (std::size_t i = 0; i + 1 < threads_; ++i)
-      workers_.emplace_back([this] { worker_loop(); });
-  }
-
-  void stop_workers_locked() {
-    {
-      std::lock_guard<std::mutex> lock(job_mutex_);
-      stopping_ = true;
-      ++generation_;
-    }
-    job_cv_.notify_all();
-    for (std::thread& w : workers_) w.join();
-    workers_.clear();
-  }
-
-  void worker_loop() {
-    std::uint64_t seen = 0;
-    while (true) {
-      Job* job = nullptr;
-      {
-        std::unique_lock<std::mutex> lock(job_mutex_);
-        job_cv_.wait(lock, [&] { return generation_ != seen || stopping_; });
-        if (stopping_) return;
-        seen = generation_;
-        job = job_;
-      }
-      // job_ is nullptr only for a generation this thread was not part
-      // of (spawned after it was dispatched); nothing to do then.
-      if (job != nullptr) job->drain();
-      {
-        std::lock_guard<std::mutex> lock(job_mutex_);
-        if (job != nullptr) ++job->retired;
-      }
-      done_cv_.notify_all();
-    }
-  }
-
-  std::mutex submit_mutex_;
-  std::mutex config_mutex_;
-  bool started_ = false;
-  std::size_t threads_ = 1;
-  std::vector<std::thread> workers_;
-
-  std::mutex job_mutex_;
-  std::condition_variable job_cv_;
-  std::condition_variable done_cv_;
-  Job* job_ = nullptr;
-  std::uint64_t generation_ = 0;
-  bool stopping_ = false;
-};
 
 }  // namespace
 
-std::size_t thread_count() { return Pool::instance().threads(); }
+std::size_t thread_count() { return pool().size(); }
 
-void set_thread_count(std::size_t n) { Pool::instance().set_threads(n); }
+void set_thread_count(std::size_t n) { pool().resize(n); }
 
 bool in_parallel_region() noexcept { return t_in_region; }
 
@@ -211,29 +39,20 @@ void parallel_for(std::size_t n, std::size_t min_per_shard, const ShardFn& fn) {
   const std::size_t max_shards =
       std::min(threads, (n + min_per_shard - 1) / min_per_shard);
   if (max_shards <= 1) {
-    const bool prev = t_in_region;
-    t_in_region = true;
-    try {
-      fn(0, n, 0);
-    } catch (...) {
-      t_in_region = prev;
-      throw;
-    }
-    t_in_region = prev;
+    SerialRegion serial;
+    fn(0, n, 0);
     return;
   }
 
-  Job job;
-  job.fn = &fn;
-  job.n = n;
-  job.shard_size = (n + max_shards - 1) / max_shards;
-  job.num_shards = (n + job.shard_size - 1) / job.shard_size;
-  job.errors.resize(job.num_shards);
-  Pool::instance().run(job);
-
-  // Deterministic error propagation: lowest shard index wins.
-  for (const std::exception_ptr& e : job.errors)
-    if (e) std::rethrow_exception(e);
+  // Near-equal contiguous shards; which worker runs a shard never
+  // changes what it computes or where it writes.
+  const std::size_t shard_size = (n + max_shards - 1) / max_shards;
+  const std::size_t num_shards = (n + shard_size - 1) / shard_size;
+  pool().run(num_shards, [&](std::size_t s, std::size_t /*worker*/) {
+    SerialRegion serial;
+    const std::size_t begin = s * shard_size;
+    fn(begin, std::min(begin + shard_size, n), s);
+  });
 }
 
 }  // namespace bmg::parallel

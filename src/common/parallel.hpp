@@ -18,8 +18,9 @@
 //   * `threads == 1` runs the loop inline on the calling thread with
 //     no pool machinery at all — the exact serial code path.
 //
-// The worker pool is process-wide and fixed-size.  Its size comes
-// from the BMG_THREADS environment variable (unset/0 → hardware
+// The threads are a process-wide WorkerPool (common/worker_pool.hpp)
+// of their own, separate from the shard pool's.  Its size comes from
+// the BMG_THREADS environment variable (unset/0 → hardware
 // concurrency); tests may reconfigure it with set_thread_count().
 // Nested fork-join (parallel_for from inside a shard) is *supported
 // by serialization*: the nested call runs its shards inline on the
@@ -45,7 +46,7 @@ using ShardFn = std::function<void(std::size_t begin, std::size_t end, std::size
 /// Reconfigures the pool to exactly `n` threads (0 → re-read the
 /// BMG_THREADS/hardware default).  Joins existing workers first; must
 /// not be called from inside a parallel region.  Intended for tests
-/// and the scenario runner's CLI override.
+/// and benchmark drivers.
 void set_thread_count(std::size_t n);
 
 /// True while the calling thread is executing a shard body (a nested
@@ -71,11 +72,14 @@ class SerialRegion {
   bool prev_;
 };
 
-/// Runs `fn` over [0, n) split into at most thread_count() contiguous
-/// shards of at least `min_per_shard` indices each.  Blocks until all
-/// shards finish.  If any shard throws, the exception from the
-/// *lowest-indexed* failing shard is rethrown (deterministic error
-/// propagation); remaining shards still run to completion.
+/// Runs `fn` over [0, n) in contiguous shards of ceil(n / k) indices
+/// (the last may be shorter), where k = min(thread_count(),
+/// ceil(n / min_per_shard)).  `min_per_shard` caps the shard count; it
+/// does not bound each shard's size: (n = 17, min_per_shard = 16) at 2
+/// threads runs [0, 9) and [9, 17).  Blocks until all shards finish.
+/// If any shard throws, the exception from the *lowest-indexed*
+/// failing shard is rethrown (deterministic error propagation);
+/// remaining shards still run to completion.
 ///
 /// The shard partition depends only on (n, min_per_shard,
 /// thread_count()) — never on scheduling — and shards write disjoint

@@ -2,38 +2,25 @@
 
 #include <time.h>
 
-#include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
-#include <mutex>
-#include <thread>
 
 #include "common/arena.hpp"
 #include "common/parallel.hpp"
+#include "common/worker_pool.hpp"
 
 namespace bmg::shard {
 
 namespace {
 
-/// Grid cells are whole simulations; more workers than this would be
-/// memory-bound long before it is CPU-bound.
-constexpr std::size_t kMaxWorkers = 64;
-
+/// Set for a cell's whole extent, so a nested run_cells runs inline.
 thread_local bool t_in_cell = false;
 
-std::size_t default_worker_count() {
-  if (const char* env = std::getenv("BMG_SHARD_WORKERS")) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && v > 0)
-      return std::min<std::size_t>(static_cast<std::size_t>(v), kMaxWorkers);
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return std::clamp<std::size_t>(hw, 1, kMaxWorkers);
+WorkerPool& pool() {
+  static WorkerPool instance("BMG_SHARD_WORKERS");
+  return instance;
 }
 
 [[nodiscard]] double thread_cpu_seconds() noexcept {
@@ -64,196 +51,52 @@ void guard_scratch_arena(const char* when, std::size_t cell) {
   a.reset();
 }
 
-/// One grid dispatch: cells are dealt from `next`; results go to
-/// caller-indexed slots, so scheduling freedom never reaches the
-/// artifact.
-struct GridJob {
-  const CellFn* fn = nullptr;
-  std::size_t n = 0;
-  std::atomic<std::size_t> next{0};
-  std::size_t retired = 0;  ///< pool workers done with this job
-  std::vector<std::exception_ptr> errors;  // indexed by cell
-  std::vector<CellStats> stats;            // indexed by cell
-
-  void run_cell(std::size_t cell, std::size_t worker) noexcept {
-    guard_scratch_arena("entering", cell);
-    CellStats& st = stats[cell];
-    st.cell = cell;
-    st.worker = worker;
-    const auto wall0 = std::chrono::steady_clock::now();
-    const double cpu0 = thread_cpu_seconds();
-    {
-      // Intra-cell fork-join regions run inline: the cell is the unit
-      // of parallelism and must compute the same bytes on any worker.
-      parallel::SerialRegion serial;
-      t_in_cell = true;
-      try {
-        (*fn)(cell);
-      } catch (...) {
-        errors[cell] = std::current_exception();
-      }
-      t_in_cell = false;
+/// Runs one cell between the arena guards and records its stats.  A
+/// throwing cell is still timed and guarded; its exception then goes
+/// to the pool, which keeps it in the cell's slot.
+void run_cell(const CellFn& fn, CellStats& st, std::size_t cell, std::size_t worker) {
+  guard_scratch_arena("entering", cell);
+  st.cell = cell;
+  st.worker = worker;
+  const auto wall0 = std::chrono::steady_clock::now();
+  const double cpu0 = thread_cpu_seconds();
+  std::exception_ptr error;
+  {
+    // Intra-cell fork-join regions run inline: the cell is the unit
+    // of parallelism and must compute the same bytes on any worker.
+    parallel::SerialRegion serial;
+    const bool outer = t_in_cell;
+    t_in_cell = true;
+    try {
+      fn(cell);
+    } catch (...) {
+      error = std::current_exception();
     }
-    st.cpu_s = thread_cpu_seconds() - cpu0;
-    st.wall_s = std::chrono::duration_cast<std::chrono::duration<double>>(
-                    std::chrono::steady_clock::now() - wall0)
-                    .count();
-    guard_scratch_arena("leaving", cell);
+    t_in_cell = outer;
   }
-
-  void drain(std::size_t worker) noexcept {
-    for (std::size_t c = next.fetch_add(1); c < n; c = next.fetch_add(1))
-      run_cell(c, worker);
-  }
-};
-
-/// The persistent shard-worker pool — same lifecycle pattern as the
-/// fork-join Pool (parallel.cpp), but the two never share threads:
-/// shard workers host whole simulations, fork-join workers host
-/// kernel shards.
-class ShardPool {
- public:
-  static ShardPool& instance() {
-    static ShardPool pool;
-    return pool;
-  }
-
-  std::size_t workers() {
-    std::lock_guard<std::mutex> lock(config_mutex_);
-    ensure_started_locked();
-    return workers_count_;
-  }
-
-  void set_workers(std::size_t n) {
-    std::lock_guard<std::mutex> submit(submit_mutex_);
-    std::lock_guard<std::mutex> lock(config_mutex_);
-    stop_workers_locked();
-    workers_count_ = n == 0 ? default_worker_count() : std::min(n, kMaxWorkers);
-    started_ = true;
-    spawn_workers_locked();
-  }
-
-  void run(GridJob& job) {
-    std::lock_guard<std::mutex> submit(submit_mutex_);
-    std::size_t helpers;
-    {
-      std::lock_guard<std::mutex> lock(config_mutex_);
-      ensure_started_locked();
-      helpers = threads_.size();
-    }
-    {
-      std::lock_guard<std::mutex> lock(job_mutex_);
-      job_ = &job;
-      ++generation_;
-    }
-    job_cv_.notify_all();
-
-    // The submitter deals itself cells as worker 0.
-    job.drain(0);
-
-    // Wait for every pool worker to retire from this dispatch before
-    // the stack-allocated job leaves scope; the mutex handshake makes
-    // their stats/error writes visible here.
-    std::unique_lock<std::mutex> lock(job_mutex_);
-    done_cv_.wait(lock, [&] { return job.retired == helpers; });
-    job_ = nullptr;
-  }
-
- private:
-  ShardPool() = default;
-  ~ShardPool() {
-    std::lock_guard<std::mutex> lock(config_mutex_);
-    stop_workers_locked();
-  }
-
-  void ensure_started_locked() {
-    if (started_) return;
-    workers_count_ = default_worker_count();
-    started_ = true;
-    spawn_workers_locked();
-  }
-
-  void spawn_workers_locked() {
-    stopping_ = false;
-    for (std::size_t i = 0; i + 1 < workers_count_; ++i)
-      threads_.emplace_back([this, worker = i + 1] { worker_loop(worker); });
-  }
-
-  void stop_workers_locked() {
-    {
-      std::lock_guard<std::mutex> lock(job_mutex_);
-      stopping_ = true;
-      ++generation_;
-    }
-    job_cv_.notify_all();
-    for (std::thread& w : threads_) w.join();
-    threads_.clear();
-  }
-
-  void worker_loop(std::size_t worker) {
-    std::uint64_t seen = 0;
-    while (true) {
-      GridJob* job = nullptr;
-      {
-        std::unique_lock<std::mutex> lock(job_mutex_);
-        job_cv_.wait(lock, [&] { return generation_ != seen || stopping_; });
-        if (stopping_) return;
-        seen = generation_;
-        job = job_;
-      }
-      if (job != nullptr) job->drain(worker);
-      {
-        std::lock_guard<std::mutex> lock(job_mutex_);
-        if (job != nullptr) ++job->retired;
-      }
-      done_cv_.notify_all();
-    }
-  }
-
-  std::mutex submit_mutex_;
-  std::mutex config_mutex_;
-  bool started_ = false;
-  std::size_t workers_count_ = 1;
-  std::vector<std::thread> threads_;
-
-  std::mutex job_mutex_;
-  std::condition_variable job_cv_;
-  std::condition_variable done_cv_;
-  GridJob* job_ = nullptr;
-  std::uint64_t generation_ = 0;
-  bool stopping_ = false;
-};
+  st.cpu_s = thread_cpu_seconds() - cpu0;
+  st.wall_s = std::chrono::duration_cast<std::chrono::duration<double>>(
+                  std::chrono::steady_clock::now() - wall0)
+                  .count();
+  guard_scratch_arena("leaving", cell);
+  if (error) std::rethrow_exception(error);
+}
 
 }  // namespace
 
-std::size_t worker_count() { return ShardPool::instance().workers(); }
+std::size_t worker_count() { return pool().size(); }
 
-void set_worker_count(std::size_t n) { ShardPool::instance().set_workers(n); }
-
-bool in_shard_cell() noexcept { return t_in_cell; }
+void set_worker_count(std::size_t n) { pool().resize(n); }
 
 std::vector<CellStats> run_cells(std::size_t n, const CellFn& fn) {
-  if (n == 0) return {};
-
-  GridJob job;
-  job.fn = &fn;
-  job.n = n;
-  job.errors.resize(n);
-  job.stats.resize(n);
-
-  if (ShardPool::instance().workers() <= 1 || t_in_cell) {
-    // Exact serial path: cells run inline on the calling thread in
-    // grid order, with the same per-cell guards and accounting.  A
-    // nested run_cells from inside a cell serializes the same way.
-    for (std::size_t c = 0; c < n; ++c) job.run_cell(c, 0);
-  } else {
-    ShardPool::instance().run(job);
-  }
-
-  // Deterministic error propagation: lowest cell index wins.
-  for (const std::exception_ptr& e : job.errors)
-    if (e) std::rethrow_exception(e);
-  return std::move(job.stats);
+  std::vector<CellStats> stats(n);
+  // One worker, or a nested run_cells from inside a cell: the exact
+  // serial path, cells inline in grid order with the same guards.
+  pool().run(
+      n,
+      [&](std::size_t cell, std::size_t worker) { run_cell(fn, stats[cell], cell, worker); },
+      /*inline_only=*/t_in_cell);
+  return stats;
 }
 
 }  // namespace bmg::shard

@@ -9,9 +9,10 @@
 // mutable state with any other cell.  The shard pool runs those cells
 // on persistent worker threads, one whole simulation per cell.
 //
-// Distinct from the fork-join pool by design:
+// Both executors are front ends over the same WorkerPool
+// implementation (common/worker_pool.hpp), each over its own instance:
 //
-//   * the fork-join pool keeps serving intra-block kernels for
+//   * the fork-join threads keep serving intra-block kernels for
 //     single-deployment drivers, tests and the figure benches;
 //   * inside a shard cell, every parallel_for serializes inline
 //     (parallel::SerialRegion) — the scaling axis is cells, and the
@@ -66,9 +67,6 @@ struct CellStats {
 /// BMG_SHARD_WORKERS/hardware default).  Joins existing workers
 /// first; must not be called from inside a cell.
 void set_worker_count(std::size_t n);
-
-/// True while the calling thread is executing a cell body.
-[[nodiscard]] bool in_shard_cell() noexcept;
 
 /// A cell body: run grid cell `cell` (a complete, isolated
 /// simulation).  Results are returned by writing to caller-owned

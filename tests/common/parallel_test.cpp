@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <mutex>
 #include <set>
@@ -74,6 +75,20 @@ TEST_F(ParallelTest, MinPerShardLimitsShardCount) {
   parallel_for(100, 60, [&](std::size_t, std::size_t, std::size_t) { ++shards; });
   // 100 items at >=60 per shard -> at most one extra shard.
   EXPECT_LE(shards.load(), 2);
+
+  // min_per_shard caps the shard count, not each shard's size: 17
+  // items at min 16 make ceil(17/16) = 2 shards of 9 and 8.  Ed25519
+  // batch verify relies on this to split batches of 17-31 signatures.
+  set_thread_count(2);
+  std::mutex mu;
+  std::vector<std::array<std::size_t, 3>> spans;
+  parallel_for(17, 16, [&](std::size_t b, std::size_t e, std::size_t s) {
+    std::lock_guard<std::mutex> lock(mu);
+    spans.push_back({s, b, e});
+  });
+  std::sort(spans.begin(), spans.end());
+  const std::vector<std::array<std::size_t, 3>> want = {{0, 0, 9}, {1, 9, 17}};
+  EXPECT_EQ(spans, want);
 }
 
 TEST_F(ParallelTest, ExceptionPropagatesFromLowestShard) {

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/arena.hpp"
@@ -64,15 +68,6 @@ TEST_F(ShardPoolTest, WorkerCountConfiguration) {
   EXPECT_GE(shard::worker_count(), 1u);
 }
 
-TEST_F(ShardPoolTest, InShardCellFlag) {
-  shard::set_worker_count(2);
-  EXPECT_FALSE(shard::in_shard_cell());
-  bool seen = false;
-  (void)shard::run_cells(1, [&](std::size_t) { seen = shard::in_shard_cell(); });
-  EXPECT_TRUE(seen);
-  EXPECT_FALSE(shard::in_shard_cell());
-}
-
 TEST_F(ShardPoolTest, IntraCellParallelForSerializesInline) {
   // Inside a cell the fork-join executor must not fan out: the cell is
   // the unit of parallelism.  parallel_for still computes the right
@@ -91,15 +86,19 @@ TEST_F(ShardPoolTest, IntraCellParallelForSerializesInline) {
 }
 
 TEST_F(ShardPoolTest, NestedRunCellsSerializesInline) {
+  // Two nested grids in a row: the first must leave the cell still
+  // marked as a cell, or the second would dispatch on the busy pool.
   shard::set_worker_count(4);
   std::vector<int> inner(5, 0);
   (void)shard::run_cells(2, [&](std::size_t outer) {
     if (outer != 0) return;
-    (void)shard::run_cells(inner.size(),
-                           [&](std::size_t i) { inner[i] = static_cast<int>(i) + 1; });
+    for (int round = 1; round <= 2; ++round)
+      (void)shard::run_cells(inner.size(), [&](std::size_t i) {
+        inner[i] += static_cast<int>(i) + 1;
+      });
   });
   for (std::size_t i = 0; i < inner.size(); ++i)
-    EXPECT_EQ(inner[i], static_cast<int>(i) + 1);
+    EXPECT_EQ(inner[i], 2 * (static_cast<int>(i) + 1));
 }
 
 TEST_F(ShardPoolTest, LowestCellExceptionWins) {
@@ -169,6 +168,61 @@ TEST_F(ShardPoolTest, CellStatsRecordTimings) {
 TEST_F(ShardPoolTest, ZeroCellsIsANoop) {
   shard::set_worker_count(4);
   EXPECT_TRUE(shard::run_cells(0, [&](std::size_t) { FAIL(); }).empty());
+}
+
+class ShardPoolFrontEndsTest : public ShardPoolTest {
+ protected:
+  void TearDown() override {
+    parallel::set_thread_count(0);
+    ShardPoolTest::TearDown();
+  }
+};
+
+TEST_F(ShardPoolFrontEndsTest, ParallelForRunsWhileCellsBlock) {
+  // The two executors share one pool implementation but not its
+  // threads or job slot.  Both cells of a 2-worker grid block until
+  // another thread has finished a 4-thread parallel_for; if the front
+  // ends ever shared a dispatch slot (or threads), that parallel_for
+  // would wait behind the grid and the grid behind it.  Every wait is
+  // bounded, so a regression fails instead of hanging.
+  constexpr auto kTimeout = std::chrono::seconds(30);
+  shard::set_worker_count(2);
+  parallel::set_thread_count(4);
+
+  std::mutex mu;
+  std::condition_variable cv;
+  int started = 0;
+  bool released = false;
+  std::atomic<bool> cells_timed_out{false};
+
+  std::atomic<std::size_t> shards{0};
+  bool kernel_saw_cells = false;
+  std::thread kernel([&] {
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      kernel_saw_cells = cv.wait_for(lock, kTimeout, [&] { return started == 2; });
+    }
+    parallel::parallel_for(64, 1, [&](std::size_t, std::size_t, std::size_t) { ++shards; });
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      released = true;
+    }
+    cv.notify_all();
+  });
+
+  const auto stats = shard::run_cells(2, [&](std::size_t) {
+    std::unique_lock<std::mutex> lock(mu);
+    ++started;
+    cv.notify_all();
+    if (!cv.wait_for(lock, kTimeout, [&] { return released; })) cells_timed_out = true;
+  });
+  kernel.join();
+
+  EXPECT_TRUE(kernel_saw_cells) << "the two cells never ran side by side";
+  EXPECT_FALSE(cells_timed_out.load()) << "parallel_for waited behind the grid";
+  EXPECT_EQ(shards.load(), 4u);  // pooled: 4 shards, not one inline shard
+  ASSERT_EQ(stats.size(), 2u);
+  EXPECT_NE(stats[0].worker, stats[1].worker);
 }
 
 using ShardPoolDeathTest = ShardPoolTest;
