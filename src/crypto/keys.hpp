@@ -22,8 +22,6 @@ class PublicKey {
   [[nodiscard]] const ed25519::PublicKeyBytes& raw() const noexcept { return raw_; }
   [[nodiscard]] ByteView view() const noexcept { return ByteView{raw_}; }
   [[nodiscard]] std::string hex() const { return to_hex(view()); }
-  /// Short printable identifier (first 8 hex chars).
-  [[nodiscard]] std::string short_id() const { return hex().substr(0, 8); }
 
   friend bool operator==(const PublicKey&, const PublicKey&) = default;
   friend auto operator<=>(const PublicKey&, const PublicKey&) = default;

@@ -539,36 +539,19 @@ void GuestContract::slash(host::TxContext& ctx, const crypto::PublicKey& offende
 void GuestContract::op_submit_evidence(host::TxContext& ctx, Decoder& d) {
   const Bytes blob = take_buffer(ctx, d.u64());
   ctx.consume_cu(20'000 + blob.size());
-  Decoder b(blob);
-  const Bytes key_raw = b.raw(32);
-  crypto::ed25519::PublicKeyBytes pk;
-  std::copy(key_raw.begin(), key_raw.end(), pk.begin());
-  const crypto::PublicKey offender(pk);
-
-  const std::uint8_t count = b.u8();
-  if (count != 1 && count != 2) throw host::TxError("evidence: need 1 or 2 headers");
-  std::vector<ibc::QuorumHeader> headers;
-  for (std::uint8_t i = 0; i < count; ++i)
-    headers.push_back(ibc::QuorumHeader::decode(b.bytes()));
-  // Optional annex: the offender's raw signature per header.  The
-  // contract itself only trusts pre-compile-verified signatures (below),
-  // but the annex makes a staged evidence blob self-contained, so a
-  // fisherman restarting after a crash can rebuild the sig-verify set
-  // from chain state alone and finish the prosecution it already paid
-  // to stage.
-  if (!b.done())
-    for (std::uint8_t i = 0; i < count; ++i) (void)b.raw(64);
-  b.expect_done();
+  // The annex, if any, is ignored here: the contract trusts only
+  // pre-compile-verified signatures (below).
+  const ix::Evidence ev = ix::Evidence::decode(blob);
 
   // Each header must carry a pre-compile-verified signature by the
   // offender over its digest.
-  for (const auto& header : headers) {
+  for (const auto& header : ev.headers) {
     if (header.chain_id != cfg_.chain_id)
       throw host::TxError("evidence: header from another chain");
     const Hash32 digest = header.signing_digest();
     bool found = false;
     for (const auto& sv : ctx.verified_signatures()) {
-      if (sv.pubkey == offender && ct_equal(sv.message.view(), digest.view())) {
+      if (sv.pubkey == ev.offender && ct_equal(sv.message.view(), digest.view())) {
         found = true;
         break;
       }
@@ -577,12 +560,12 @@ void GuestContract::op_submit_evidence(host::TxContext& ctx, Decoder& d) {
   }
 
   bool misbehaved = false;
-  if (count == 2) {
+  if (ev.headers.size() == 2) {
     // Two different blocks signed at the same height (§III-C case 1).
-    misbehaved = headers[0].height == headers[1].height &&
-                 headers[0].signing_digest() != headers[1].signing_digest();
+    misbehaved = ev.headers[0].height == ev.headers[1].height &&
+                 ev.headers[0].signing_digest() != ev.headers[1].signing_digest();
   } else {
-    const ibc::QuorumHeader& h = headers[0];
+    const ibc::QuorumHeader& h = ev.headers[0];
     if (h.height >= blocks_.size()) {
       // Signed a block beyond the chain head (case 2).
       misbehaved = true;
@@ -592,7 +575,7 @@ void GuestContract::op_submit_evidence(host::TxContext& ctx, Decoder& d) {
     }
   }
   if (!misbehaved) throw host::TxError("evidence: no misbehaviour proven");
-  slash(ctx, offender);
+  slash(ctx, ev.offender);
 }
 
 // --- handshake ------------------------------------------------------------------------

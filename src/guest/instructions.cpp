@@ -1,6 +1,10 @@
 #include "guest/instructions.hpp"
 
+#include <algorithm>
+#include <cstring>
+
 #include "host/constants.hpp"
+#include "host/program.hpp"
 
 namespace bmg::guest::ix {
 
@@ -86,6 +90,43 @@ host::Instruction withdraw_stake() { return make(Op::kWithdrawStake, {}); }
 
 host::Instruction submit_evidence(std::uint64_t buffer_id) {
   return buffer_op(Op::kSubmitEvidence, buffer_id);
+}
+
+Bytes Evidence::encode() const {
+  Encoder e;
+  e.raw(offender.view());
+  e.u8(static_cast<std::uint8_t>(headers.size()));
+  for (const ibc::QuorumHeader& h : headers) e.bytes(h.encode());
+  for (const crypto::Signature& sig : annex) e.raw(sig.view());
+  return e.take();
+}
+
+Evidence Evidence::decode(ByteView blob) {
+  Decoder d(blob);
+  Evidence ev;
+  crypto::ed25519::PublicKeyBytes pk;
+  std::memcpy(pk.data(), d.view(pk.size()).data(), pk.size());
+  ev.offender = crypto::PublicKey(pk);
+  const std::uint8_t count = d.u8();
+  if (count != 1 && count != 2) throw host::TxError("evidence: need 1 or 2 headers");
+  for (std::uint8_t i = 0; i < count; ++i)
+    ev.headers.push_back(ibc::QuorumHeader::decode(d.bytes_view()));
+  if (!d.done()) {
+    for (std::uint8_t i = 0; i < count; ++i) {
+      crypto::ed25519::SignatureBytes sig;
+      std::memcpy(sig.data(), d.view(sig.size()).data(), sig.size());
+      ev.annex.emplace_back(sig);
+    }
+  }
+  d.expect_done();
+  return ev;
+}
+
+std::vector<host::SigVerify> Evidence::sig_verifies() const {
+  std::vector<host::SigVerify> sigs;
+  for (std::size_t i = 0; i < std::min(annex.size(), headers.size()); ++i)
+    sigs.push_back(host::SigVerify{offender, headers[i].signing_digest(), annex[i]});
+  return sigs;
 }
 
 host::Instruction handshake(std::uint64_t buffer_id) {

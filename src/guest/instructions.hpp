@@ -14,7 +14,9 @@
 #include <vector>
 
 #include "common/codec.hpp"
+#include "crypto/keys.hpp"
 #include "host/transaction.hpp"
+#include "ibc/quorum.hpp"
 #include "ibc/types.hpp"
 
 namespace bmg::guest {
@@ -84,6 +86,29 @@ namespace ix {
 [[nodiscard]] host::Instruction unstake(std::uint64_t lamports);
 [[nodiscard]] host::Instruction withdraw_stake();
 [[nodiscard]] host::Instruction submit_evidence(std::uint64_t buffer_id);
+
+/// The staged payload `submit_evidence` consumes (§III-C):
+/// `offender | u8 count | count length-prefixed headers | annex`.  The
+/// optional annex is the offender's raw signature per header.  The
+/// contract trusts only pre-compile-verified signatures, but the annex
+/// makes a staged blob self-contained, so a fisherman restarting after
+/// a crash can rebuild the sig-verify set from chain state alone.
+struct Evidence {
+  crypto::PublicKey offender;
+  std::vector<ibc::QuorumHeader> headers;
+  /// One signature per header, or empty for a blob without annex.
+  std::vector<crypto::Signature> annex;
+
+  [[nodiscard]] Bytes encode() const;
+  /// Throws host::TxError unless the blob holds 1 or 2 headers, and
+  /// CodecError on any other malformed input (an annex, if present,
+  /// must hold exactly one signature per header).
+  [[nodiscard]] static Evidence decode(ByteView blob);
+  /// The pre-compile checks proving the annex: the offender's
+  /// signature over each header's signing digest.
+  [[nodiscard]] std::vector<host::SigVerify> sig_verifies() const;
+};
+
 [[nodiscard]] host::Instruction handshake(std::uint64_t buffer_id);
 [[nodiscard]] host::Instruction freeze_client(std::uint64_t buffer_id);
 [[nodiscard]] host::Instruction self_destruct();

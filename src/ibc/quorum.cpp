@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <span>
 #include <unordered_set>
 
 #include "common/codec.hpp"
@@ -71,24 +72,7 @@ void ValidatorSet::encode_into(Encoder& e) const {
 }
 
 ValidatorSet ValidatorSet::decode(ByteView wire) {
-  Decoder d(wire);
-  const std::uint32_t n = d.u32();
-  // Bound the allocation by the bytes actually present (40 per entry)
-  // — a hostile length prefix must not trigger a huge reserve.
-  if (n > d.remaining() / 40) throw CodecError("validator set: implausible count");
-  std::vector<ValidatorInfo> vals;
-  vals.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    ValidatorInfo v;
-    const Bytes raw = d.raw(32);
-    crypto::ed25519::PublicKeyBytes pk;
-    std::copy(raw.begin(), raw.end(), pk.begin());
-    v.key = crypto::PublicKey(pk);
-    v.stake = d.u64();
-    vals.push_back(v);
-  }
-  d.expect_done();
-  return ValidatorSet(std::move(vals));
+  return ValidatorSetView::parse(wire).to_owned();
 }
 
 const Hash32& ValidatorSet::hash() const {
@@ -117,16 +101,7 @@ void QuorumHeader::encode_into(Encoder& e) const {
 }
 
 QuorumHeader QuorumHeader::decode(ByteView wire) {
-  Decoder d(wire);
-  QuorumHeader h;
-  h.chain_id = d.str();
-  h.height = d.u64();
-  h.timestamp = static_cast<double>(d.u64()) / 1e6;
-  h.state_root = d.hash();
-  h.validator_set_hash = d.hash();
-  h.extra = d.bytes();
-  d.expect_done();
-  return h;
+  return QuorumHeaderView::parse(wire).to_owned();
 }
 
 Hash32 QuorumHeader::signing_digest() const { return crypto::Sha256::digest(encode()); }
@@ -159,22 +134,7 @@ void SignedQuorumHeader::encode_into(Encoder& e) const {
 }
 
 SignedQuorumHeader SignedQuorumHeader::decode(ByteView wire) {
-  Decoder d(wire);
-  SignedQuorumHeader sh;
-  sh.header = QuorumHeader::decode(d.bytes());
-  const std::uint32_t n = d.u32();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const Bytes key_raw = d.raw(32);
-    crypto::ed25519::PublicKeyBytes pk;
-    std::copy(key_raw.begin(), key_raw.end(), pk.begin());
-    const Bytes sig_raw = d.raw(64);
-    crypto::ed25519::SignatureBytes sig;
-    std::copy(sig_raw.begin(), sig_raw.end(), sig.begin());
-    sh.signatures.emplace_back(crypto::PublicKey(pk), crypto::Signature(sig));
-  }
-  if (d.boolean()) sh.next_validators = ValidatorSet::decode(d.bytes());
-  d.expect_done();
-  return sh;
+  return SignedQuorumHeaderView::parse(wire).to_owned();
 }
 
 std::size_t SignedQuorumHeader::byte_size() const noexcept {
@@ -193,61 +153,54 @@ const Hash32& SignedQuorumHeader::signing_digest() const {
 QuorumLightClient::QuorumLightClient(std::string chain_id, ValidatorSet genesis_validators)
     : chain_id_(std::move(chain_id)), validators_(std::move(genesis_validators)) {}
 
-std::uint64_t QuorumLightClient::verify_signatures(const SignedQuorumHeader& sh,
-                                                   const ValidatorSet& validators) {
-  const Hash32& digest = sh.signing_digest();
-  // First pass: membership and uniqueness, before paying for any curve
-  // arithmetic.  A header failing these is rejected for free.
+namespace {
+
+/// The one quorum signature check behind both verify_signatures
+/// overloads.  First pass: membership and uniqueness, before paying
+/// for any curve arithmetic — a header failing these is rejected for
+/// free.  Second pass: one batched verification over every signature;
+/// all of them sign the same digest, the textbook batch-friendly shape.
+std::uint64_t verify_quorum_items(std::span<const crypto::ed25519::VerifyItem> items,
+                                  const ValidatorSet& validators) {
   std::uint64_t power = 0;
   std::unordered_set<crypto::PublicKey, crypto::PublicKeyHasher> seen;
-  seen.reserve(sh.signatures.size());
-  for (const auto& [key, sig] : sh.signatures) {
+  seen.reserve(items.size());
+  for (const auto& item : items) {
+    const crypto::PublicKey key(item.pub);
     if (!seen.insert(key).second) throw IbcError("quorum client: duplicate signer");
     const auto stake = validators.stake_of(key);
     if (!stake) throw IbcError("quorum client: signer not in validator set");
     power += *stake;
   }
-  // Second pass: one batched verification over every signature — all
-  // of them sign the same digest, the textbook batch-friendly shape.
-  std::vector<crypto::ed25519::VerifyItem> items;
-  items.reserve(sh.signatures.size());
-  for (const auto& [key, sig] : sh.signatures)
-    items.push_back({key.raw(), digest.view(), sig.raw()});
   const std::vector<bool> ok = crypto::ed25519::verify_batch(items);
   for (const bool good : ok)
     if (!good) throw IbcError("quorum client: invalid signature");
   return power;
 }
 
+}  // namespace
+
+std::uint64_t QuorumLightClient::verify_signatures(const SignedQuorumHeader& sh,
+                                                   const ValidatorSet& validators) {
+  const Hash32& digest = sh.signing_digest();
+  std::vector<crypto::ed25519::VerifyItem> items;
+  items.reserve(sh.signatures.size());
+  for (const auto& [key, sig] : sh.signatures)
+    items.push_back({key.raw(), digest.view(), sig.raw()});
+  return verify_quorum_items(items, validators);
+}
+
 std::uint64_t QuorumLightClient::verify_signatures(const SignedQuorumHeaderView& sh,
                                                    const ValidatorSet& validators) {
   const Hash32 digest = sh.signing_digest();
-  // First pass: membership and uniqueness, before paying for any curve
-  // arithmetic.  A header failing these is rejected for free.
-  std::uint64_t power = 0;
-  std::unordered_set<crypto::PublicKey, crypto::PublicKeyHasher> seen;
-  seen.reserve(sh.signature_count);
+  // Keys and signatures are read straight out of the wire records.
+  std::vector<crypto::ed25519::VerifyItem> items(sh.signature_count);
   for (std::uint32_t i = 0; i < sh.signature_count; ++i) {
-    const crypto::PublicKey key = sh.signer_at(i);
-    if (!seen.insert(key).second) throw IbcError("quorum client: duplicate signer");
-    const auto stake = validators.stake_of(key);
-    if (!stake) throw IbcError("quorum client: signer not in validator set");
-    power += *stake;
+    items[i].pub = sh.signer_at(i).raw();
+    items[i].msg = digest.view();
+    std::memcpy(items[i].sig.data(), sh.signature_at(i).data(), items[i].sig.size());
   }
-  // Second pass: one batched verification, keys and signatures read
-  // straight out of the wire records.
-  std::vector<crypto::ed25519::VerifyItem> items;
-  items.reserve(sh.signature_count);
-  for (std::uint32_t i = 0; i < sh.signature_count; ++i) {
-    crypto::ed25519::SignatureBytes sig;
-    const ByteView s = sh.signature_at(i);
-    std::memcpy(sig.data(), s.data(), sig.size());
-    items.push_back({sh.signer_at(i).raw(), digest.view(), sig});
-  }
-  const std::vector<bool> ok = crypto::ed25519::verify_batch(items);
-  for (const bool good : ok)
-    if (!good) throw IbcError("quorum client: invalid signature");
-  return power;
+  return verify_quorum_items(items, validators);
 }
 
 void QuorumLightClient::apply(const SignedQuorumHeader& sh) {

@@ -171,8 +171,8 @@ class QuorumLightClient final : public LightClient {
   /// or signer not in the set.
   [[nodiscard]] static std::uint64_t verify_signatures(const SignedQuorumHeader& sh,
                                                        const ValidatorSet& validators);
-  /// Zero-copy variant over a parsed wire view; same checks, same
-  /// error strings, signatures verified straight off the wire bytes.
+  /// The same check (one shared body) over a parsed wire view, with
+  /// keys and signatures read straight off the wire bytes.
   [[nodiscard]] static std::uint64_t verify_signatures(const SignedQuorumHeaderView& sh,
                                                        const ValidatorSet& validators);
 

@@ -1,9 +1,8 @@
 #include "ibc/views.hpp"
 
-#include <array>
 #include <cstring>
-#include <span>
 
+#include "common/alloc_stats.hpp"
 #include "common/codec.hpp"
 #include "crypto/sha256.hpp"
 
@@ -16,67 +15,6 @@ namespace {
   return v;
 }
 }  // namespace
-
-PacketView PacketView::parse(ByteView wire) {
-  Decoder d(wire);
-  PacketView v;
-  v.sequence = d.u64();
-  v.source_port = d.str_view();
-  v.source_channel = d.str_view();
-  v.dest_port = d.str_view();
-  v.dest_channel = d.str_view();
-  v.data = d.bytes_view();
-  v.timeout_height = d.u64();
-  v.timeout_micros = d.u64();
-  d.expect_done();
-  v.wire = wire;
-  return v;
-}
-
-Hash32 PacketView::commitment() const {
-  const Hash32 data_hash = crypto::Sha256::digest(data);
-  std::array<std::uint8_t, 8 + 8 + 32> preimage;
-  Encoder e{std::span<std::uint8_t>(preimage)};
-  e.u64(timeout_height).u64(timeout_micros).hash(data_hash);
-  return crypto::Sha256::digest(e.out());
-}
-
-Packet PacketView::to_owned() const {
-  Packet p;
-  p.sequence = sequence;
-  p.source_port = PortId(source_port);
-  p.source_channel = ChannelId(source_channel);
-  p.dest_port = PortId(dest_port);
-  p.dest_channel = ChannelId(dest_channel);
-  p.data = Bytes(data.begin(), data.end());
-  p.timeout_height = timeout_height;
-  p.timeout_timestamp = timeout_timestamp();
-  return p;
-}
-
-AckView AckView::parse(ByteView wire) {
-  Decoder d(wire);
-  AckView v;
-  v.success = d.boolean();
-  if (v.success) {
-    v.result = d.bytes_view();
-  } else {
-    v.error = d.str_view();
-  }
-  d.expect_done();
-  v.wire = wire;
-  return v;
-}
-
-Hash32 AckView::commitment() const { return crypto::Sha256::digest(wire); }
-
-Acknowledgement AckView::to_owned() const {
-  Acknowledgement a;
-  a.success = success;
-  a.result = Bytes(result.begin(), result.end());
-  a.error = std::string(error);
-  return a;
-}
 
 QuorumHeaderView QuorumHeaderView::parse(ByteView wire) {
   Decoder d(wire);
@@ -97,6 +35,7 @@ Hash32 QuorumHeaderView::signing_digest() const {
 }
 
 QuorumHeader QuorumHeaderView::to_owned() const {
+  alloc_stats::count_copy(chain_id.size() + extra.size());
   QuorumHeader h;
   h.chain_id = std::string(chain_id);
   h.height = height;
@@ -111,8 +50,8 @@ ValidatorSetView ValidatorSetView::parse(ByteView wire) {
   Decoder d(wire);
   ValidatorSetView v;
   v.count = d.u32();
-  // Same plausibility bound as the owning decode: the count must be
-  // covered by bytes actually present (40 per entry).
+  // Bound the count by the bytes actually present (40 per entry): a
+  // hostile length prefix must not trigger a huge reserve in to_owned.
   if (v.count > d.remaining() / 40)
     throw CodecError("validator set: implausible count");
   v.records = d.view(std::size_t{40} * v.count);
@@ -128,6 +67,7 @@ std::uint64_t ValidatorSetView::stake_at(std::uint32_t i) const noexcept {
 Hash32 ValidatorSetView::hash() const { return crypto::Sha256::digest(wire); }
 
 ValidatorSet ValidatorSetView::to_owned() const {
+  alloc_stats::count_copy(std::size_t{32} * count);
   std::vector<ValidatorInfo> vals;
   vals.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -165,6 +105,7 @@ crypto::PublicKey SignedQuorumHeaderView::signer_at(std::uint32_t i) const noexc
 }
 
 SignedQuorumHeader SignedQuorumHeaderView::to_owned() const {
+  alloc_stats::count_copy(signatures.size());
   SignedQuorumHeader sh;
   sh.header = header.to_owned();
   sh.signatures.reserve(signature_count);

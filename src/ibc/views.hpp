@@ -1,23 +1,22 @@
-// Flat zero-copy decode views over wire bytes (the per-event hot path).
+// Flat zero-copy decode views over the quorum wire formats.
 //
-// The owning decode structs (`Packet::decode`, `SignedQuorumHeader::
-// decode`, ...) copy every field onto the heap.  On the hot path —
-// a relayer or light client that reads a blob once, checks it, and
-// hashes it — those copies are pure overhead.  Each view here parses
-// the same wire format but *borrows* the input: variable-length fields
-// become string_view/ByteView into the original buffer, fixed fields
-// are decoded by value, and every bound (including trailing bytes and
-// nested-blob exactness) is verified once at `parse()`, which throws
-// CodecError — never UB — on malformed input.
+// These are the only field-by-field parsers of `QuorumHeader`,
+// `ValidatorSet` and `SignedQuorumHeader`: each owning `decode()` is
+// `View::parse(wire).to_owned()`.  A view *borrows* its input:
+// variable-length fields become string_view/ByteView into the original
+// buffer, fixed fields are decoded by value, and every bound (including
+// trailing bytes and nested-blob exactness) is verified once at
+// `parse()`, which throws CodecError — never UB — on malformed input.
+// A light client that reads a header once, checks it and hashes it
+// (`QuorumLightClient::update`) never materialises the owning struct.
 //
 // Because the codec is fully canonical (one byte string per value),
 // a view can hash its borrowed bytes directly: `signing_digest()` on a
 // header view equals digest-of-re-encode without re-encoding.
 //
 // Borrowing rules (DESIGN.md §11): a view is valid only while the
-// buffer it was parsed from is alive and unmodified.  Views are for
-// event-scoped reads; anything that must outlive the event goes
-// through `to_owned()` (or the owning decode at trust boundaries).
+// buffer it was parsed from is alive and unmodified.  Anything that
+// must outlive the read goes through `to_owned()`.
 #pragma once
 
 #include <cstdint>
@@ -26,46 +25,9 @@
 
 #include "common/bytes.hpp"
 #include "crypto/keys.hpp"
-#include "ibc/packet.hpp"
 #include "ibc/quorum.hpp"
 
 namespace bmg::ibc {
-
-/// Zero-copy mirror of `Packet`.
-struct PacketView {
-  std::uint64_t sequence = 0;
-  std::string_view source_port;
-  std::string_view source_channel;
-  std::string_view dest_port;
-  std::string_view dest_channel;
-  ByteView data;
-  Height timeout_height = 0;
-  std::uint64_t timeout_micros = 0;
-  /// The full wire encoding this view was parsed from.
-  ByteView wire;
-
-  [[nodiscard]] static PacketView parse(ByteView wire);
-  [[nodiscard]] Timestamp timeout_timestamp() const noexcept {
-    return static_cast<double>(timeout_micros) / 1e6;
-  }
-  /// Same value as `Packet::commitment()` on the decoded packet.
-  [[nodiscard]] Hash32 commitment() const;
-  [[nodiscard]] Packet to_owned() const;
-};
-
-/// Zero-copy mirror of `Acknowledgement`.
-struct AckView {
-  bool success = false;
-  ByteView result;
-  std::string_view error;
-  ByteView wire;
-
-  [[nodiscard]] static AckView parse(ByteView wire);
-  /// Same value as `Acknowledgement::commitment()`: the codec is
-  /// canonical, so this is just sha256(wire).
-  [[nodiscard]] Hash32 commitment() const;
-  [[nodiscard]] Acknowledgement to_owned() const;
-};
 
 /// Zero-copy mirror of `QuorumHeader`.
 struct QuorumHeaderView {

@@ -146,45 +146,24 @@ class FishermanAgent final : public sim::CrashableAgent {
     if (contract_.is_banned(a.validator)) return;
     if (!prosecuted_.insert(a.validator).second) return;
     note_detection(a.validator);
-    Encoder ev;
-    ev.raw(a.validator.view());
-    ev.u8(2);
-    ev.bytes(a.header.encode());
-    ev.bytes(b.header.encode());
-    // Annex: raw signatures per header, making the staged blob
-    // self-contained for post-crash re-derivation.
-    ev.raw(a.signature.view());
-    ev.raw(b.signature.view());
-    std::vector<host::SigVerify> sigs;
-    const Hash32 da = a.header.signing_digest();
-    const Hash32 db = b.header.signing_digest();
-    sigs.push_back(host::SigVerify{a.validator, da, a.signature});
-    sigs.push_back(host::SigVerify{b.validator, db, b.signature});
-    submit_evidence(ev.take(), std::move(sigs));
+    submit_evidence(guest::ix::Evidence{
+        a.validator, {a.header, b.header}, {a.signature, b.signature}});
   }
 
   void submit_single_header(const SignatureGossip& g) {
     note_detection(g.validator);
-    Encoder ev;
-    ev.raw(g.validator.view());
-    ev.u8(1);
-    ev.bytes(g.header.encode());
-    ev.raw(g.signature.view());
-    const Hash32 digest = g.header.signing_digest();
-    std::vector<host::SigVerify> sigs{
-        host::SigVerify{g.validator, digest, g.signature}};
-    submit_evidence(ev.take(), std::move(sigs));
+    submit_evidence(guest::ix::Evidence{g.validator, {g.header}, {g.signature}});
   }
 
   void note_detection(const crypto::PublicKey& offender) {
     first_detect_.emplace(offender, sim_.now());
   }
 
-  void submit_evidence(Bytes blob, std::vector<host::SigVerify> sigs) {
+  void submit_evidence(const guest::ix::Evidence& ev) {
     const std::uint64_t buffer_id = next_buffer_++;
     std::uint32_t offset = 0;
     std::vector<host::Transaction> txs;
-    for (const Bytes& chunk : guest::ix::chunk_payload(blob)) {
+    for (const Bytes& chunk : guest::ix::chunk_payload(ev.encode())) {
       host::Transaction tx;
       tx.payer = payer_;
       tx.label = "fisherman:chunk";
@@ -196,7 +175,7 @@ class FishermanAgent final : public sim::CrashableAgent {
     fin.payer = payer_;
     fin.label = "fisherman:evidence";
     fin.instructions.push_back(guest::ix::submit_evidence(buffer_id));
-    fin.sig_verifies = std::move(sigs);
+    fin.sig_verifies = ev.sig_verifies();
     txs.push_back(std::move(fin));
 
     ++submitted_;
@@ -226,35 +205,15 @@ class FishermanAgent final : public sim::CrashableAgent {
       const auto blob = contract_.staging_buffer_bytes(payer_, id);
       if (!blob) continue;
       try {
-        Decoder b(*blob);
-        const Bytes key_raw = b.raw(32);
-        crypto::ed25519::PublicKeyBytes pk{};
-        std::copy(key_raw.begin(), key_raw.end(), pk.begin());
-        const crypto::PublicKey offender(pk);
-        const std::uint8_t count = b.u8();
-        if (count != 1 && count != 2) continue;
-        std::vector<ibc::QuorumHeader> headers;
-        for (std::uint8_t i = 0; i < count; ++i)
-          headers.push_back(ibc::QuorumHeader::decode(b.bytes()));
-        std::vector<crypto::Signature> annex;
-        for (std::uint8_t i = 0; i < count; ++i) {
-          const Bytes s = b.raw(64);
-          crypto::ed25519::SignatureBytes sb{};
-          std::copy(s.begin(), s.end(), sb.begin());
-          annex.emplace_back(sb);
-        }
-        b.expect_done();
-        if (contract_.is_banned(offender)) continue;
-        if (!prosecuted_.insert(offender).second) continue;
-        std::vector<host::SigVerify> sigs;
-        for (std::uint8_t i = 0; i < count; ++i)
-          sigs.push_back(
-              host::SigVerify{offender, headers[i].signing_digest(), annex[i]});
+        const guest::ix::Evidence ev = guest::ix::Evidence::decode(*blob);
+        if (ev.annex.empty()) continue;
+        if (contract_.is_banned(ev.offender)) continue;
+        if (!prosecuted_.insert(ev.offender).second) continue;
         host::Transaction fin;
         fin.payer = payer_;
         fin.label = "fisherman:evidence";
         fin.instructions.push_back(guest::ix::submit_evidence(id));
-        fin.sig_verifies = std::move(sigs);
+        fin.sig_verifies = ev.sig_verifies();
         std::vector<host::Transaction> txs;
         txs.push_back(std::move(fin));
         ++rederived_;

@@ -12,7 +12,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "common/parallel.hpp"
 
 namespace bmg {
@@ -130,28 +129,6 @@ TEST_F(ShardPoolTest, RemainingCellsRunAfterAFailure) {
   EXPECT_EQ(std::accumulate(ran.begin(), ran.end(), 0), 12);
 }
 
-TEST_F(ShardPoolTest, ScratchArenaUsableAndRecycledAcrossCells) {
-  // Cells may use the scratch arena freely as long as every scope
-  // closes before the cell ends; the pool resets (not frees) between
-  // cells so warm workers reuse their slabs.
-  shard::set_worker_count(2);
-  std::vector<std::size_t> sums(16, 0);
-  (void)shard::run_cells(sums.size(), [&](std::size_t c) {
-    ArenaScope scope(scratch_arena());
-    auto* p = scratch_arena().alloc_bytes(1024);
-    for (std::size_t i = 0; i < 1024; ++i) p[i] = static_cast<unsigned char>(c + i);
-    std::size_t s = 0;
-    for (std::size_t i = 0; i < 1024; ++i) s += p[i];
-    sums[c] = s;
-  });
-  for (std::size_t c = 0; c < sums.size(); ++c) {
-    std::size_t expect = 0;
-    for (std::size_t i = 0; i < 1024; ++i)
-      expect += static_cast<unsigned char>(c + i);
-    EXPECT_EQ(sums[c], expect) << c;
-  }
-}
-
 TEST_F(ShardPoolTest, CellStatsRecordTimings) {
   shard::set_worker_count(1);
   const auto stats = shard::run_cells(3, [&](std::size_t) {
@@ -223,22 +200,6 @@ TEST_F(ShardPoolFrontEndsTest, ParallelForRunsWhileCellsBlock) {
   EXPECT_EQ(shards.load(), 4u);  // pooled: 4 shards, not one inline shard
   ASSERT_EQ(stats.size(), 2u);
   EXPECT_NE(stats[0].worker, stats[1].worker);
-}
-
-using ShardPoolDeathTest = ShardPoolTest;
-
-TEST_F(ShardPoolDeathTest, LeakedArenaScopeAbortsAtCellBoundary) {
-  // An ArenaScope (or bare alloc) that survives past the cell body is
-  // a cross-shard bleed: the guard must abort, not carry on.
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  shard::set_worker_count(1);
-  EXPECT_DEATH(
-      {
-        (void)shard::run_cells(1, [&](std::size_t) {
-          (void)scratch_arena().alloc_bytes(64);  // no scope: leaks
-        });
-      },
-      "leaked across a shard boundary");
 }
 
 }  // namespace

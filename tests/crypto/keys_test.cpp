@@ -31,9 +31,8 @@ TEST(Keys, SignVerifyRoundTrip) {
   EXPECT_FALSE(verify(PrivateKey::from_label("other").public_key(), msg, sig));
 }
 
-TEST(Keys, ShortIdIsPrefixOfHex) {
+TEST(Keys, HexIsFullWidth) {
   const PrivateKey k = PrivateKey::from_label("x");
-  EXPECT_EQ(k.public_key().short_id(), k.public_key().hex().substr(0, 8));
   EXPECT_EQ(k.public_key().hex().size(), 64u);
 }
 

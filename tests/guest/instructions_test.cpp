@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "host/constants.hpp"
+#include "host/program.hpp"
 
 namespace bmg::guest {
 namespace {
@@ -73,6 +76,71 @@ TEST(Instructions, BufferOpsEncodeBufferId) {
     EXPECT_EQ(d.u64(), 42u);
     d.expect_done();
   }
+}
+
+ix::Evidence sample_evidence(int headers, bool with_annex) {
+  const crypto::PrivateKey key = crypto::PrivateKey::from_label("evidence-offender");
+  ix::Evidence ev;
+  ev.offender = key.public_key();
+  for (int i = 0; i < headers; ++i) {
+    ibc::QuorumHeader h;
+    h.chain_id = "guest";
+    h.height = 9;
+    h.timestamp = 12.5 + i;
+    h.extra = Bytes{static_cast<std::uint8_t>(i)};
+    if (with_annex) ev.annex.push_back(key.sign(h.signing_digest().view()));
+    ev.headers.push_back(std::move(h));
+  }
+  return ev;
+}
+
+TEST(Evidence, WireLayoutIsOffenderCountHeadersAnnex) {
+  const ix::Evidence ev = sample_evidence(2, true);
+  Encoder e;
+  e.raw(ev.offender.view()).u8(2);
+  for (const auto& h : ev.headers) e.bytes(h.encode());
+  for (const auto& sig : ev.annex) e.raw(sig.view());
+  EXPECT_EQ(ev.encode(), e.take());
+}
+
+TEST(Evidence, RoundTripsWithAndWithoutAnnex) {
+  for (const int headers : {1, 2}) {
+    for (const bool with_annex : {false, true}) {
+      const ix::Evidence ev = sample_evidence(headers, with_annex);
+      const ix::Evidence back = ix::Evidence::decode(ev.encode());
+      EXPECT_EQ(back.offender, ev.offender);
+      EXPECT_EQ(back.headers, ev.headers);
+      EXPECT_EQ(back.annex, ev.annex);
+      ASSERT_EQ(back.sig_verifies().size(), with_annex ? ev.headers.size() : 0u);
+      for (std::size_t i = 0; i < back.sig_verifies().size(); ++i) {
+        const host::SigVerify sv = back.sig_verifies()[i];
+        EXPECT_EQ(sv.pubkey, ev.offender);
+        EXPECT_EQ(sv.message, ev.headers[i].signing_digest());
+        EXPECT_TRUE(crypto::verify(sv.pubkey, sv.message.view(), sv.signature));
+      }
+    }
+  }
+}
+
+TEST(Evidence, HeaderCountMustBeOneOrTwo) {
+  for (const int headers : {0, 3}) {
+    try {
+      (void)ix::Evidence::decode(sample_evidence(headers, true).encode());
+      ADD_FAILURE() << headers << " headers decoded";
+    } catch (const host::TxError& e) {
+      EXPECT_EQ(std::string(e.what()), "evidence: need 1 or 2 headers");
+    }
+  }
+}
+
+TEST(Evidence, PartialAnnexOrTrailingBytesThrow) {
+  const Bytes wire = sample_evidence(2, true).encode();
+  // One signature short of a full annex: a blob cut mid-upload.
+  EXPECT_THROW((void)ix::Evidence::decode(ByteView{wire.data(), wire.size() - 64}),
+               CodecError);
+  Bytes trailing = wire;
+  trailing.push_back(0);
+  EXPECT_THROW((void)ix::Evidence::decode(trailing), CodecError);
 }
 
 }  // namespace

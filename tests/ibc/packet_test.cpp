@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/codec.hpp"
 #include "ibc/commitment.hpp"
 #include "ibc/handshake.hpp"
 
@@ -21,9 +22,38 @@ Packet sample_packet() {
   return p;
 }
 
+/// Decodes every strict prefix of `wire` and requires CodecError from
+/// each: a single missing byte anywhere must be caught at decode.
+template <typename T>
+void expect_all_truncations_throw(const Bytes& wire) {
+  for (std::size_t cut = 0; cut < wire.size(); ++cut) {
+    EXPECT_THROW((void)T::decode(ByteView{wire.data(), cut}), CodecError)
+        << "prefix length " << cut << " of " << wire.size();
+  }
+}
+
 TEST(Packet, EncodeDecodeRoundTrip) {
   const Packet p = sample_packet();
   EXPECT_EQ(Packet::decode(p.encode()), p);
+}
+
+TEST(Packet, DecodeReencodesByteForByte) {
+  const Packet p = sample_packet();
+  const Bytes wire = p.encode();
+  const Packet q = Packet::decode(wire);
+  EXPECT_EQ(q.encode(), wire);
+  EXPECT_DOUBLE_EQ(q.timeout_timestamp, p.timeout_timestamp);
+  EXPECT_EQ(q.commitment(), p.commitment());
+}
+
+TEST(Packet, EveryTruncationThrows) {
+  expect_all_truncations_throw<Packet>(sample_packet().encode());
+}
+
+TEST(Packet, TrailingBytesThrow) {
+  Bytes wire = sample_packet().encode();
+  wire.push_back(0x00);
+  EXPECT_THROW((void)Packet::decode(wire), CodecError);
 }
 
 TEST(Packet, CommitmentCoversTimeoutsAndData) {
@@ -60,6 +90,29 @@ TEST(Ack, RoundTripFailure) {
   const Acknowledgement b = Acknowledgement::decode(a.encode());
   EXPECT_FALSE(b.success);
   EXPECT_EQ(b.error, "bad things");
+}
+
+TEST(Ack, DecodeReencodesByteForByte) {
+  for (const Acknowledgement& a :
+       {Acknowledgement::ok(Bytes{9, 9, 9}), Acknowledgement::fail("bad things"),
+        Acknowledgement::ok()}) {
+    const Bytes wire = a.encode();
+    const Acknowledgement b = Acknowledgement::decode(wire);
+    EXPECT_EQ(b, a);
+    EXPECT_EQ(b.encode(), wire);
+    EXPECT_EQ(b.commitment(), a.commitment());
+  }
+}
+
+TEST(Ack, EveryTruncationThrows) {
+  expect_all_truncations_throw<Acknowledgement>(Acknowledgement::fail("reason").encode());
+  expect_all_truncations_throw<Acknowledgement>(Acknowledgement::ok(Bytes{1, 2}).encode());
+}
+
+TEST(Ack, BadBooleanThrows) {
+  Bytes wire = Acknowledgement::ok().encode();
+  wire[0] = 0x02;  // boolean must be 0 or 1
+  EXPECT_THROW((void)Acknowledgement::decode(wire), CodecError);
 }
 
 TEST(Ack, CommitmentsDiffer) {
