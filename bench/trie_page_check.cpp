@@ -111,8 +111,7 @@ int main(int argc, char** argv) {
       steps =
           static_cast<std::size_t>(bmg::bench::parse_positive_long(prog, "--steps", next()));
     else if (std::strcmp(argv[i], "--seed") == 0)
-      seed =
-          static_cast<std::uint64_t>(bmg::bench::parse_positive_long(prog, "--seed", next()));
+      seed = bmg::bench::parse_uint64(prog, "--seed", next());
     else {
       std::fprintf(stderr, "%s: unknown flag '%s'\n", prog, argv[i]);
       return 2;

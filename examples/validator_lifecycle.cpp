@@ -85,31 +85,21 @@ int main() {
   // A fisherman notices and submits evidence.
   const crypto::PrivateKey fisherman = crypto::PrivateKey::from_label("fisherman");
   d.host().airdrop(fisherman.public_key(), 100 * host::kLamportsPerSol);
-  Encoder ev;
-  ev.raw(offender.public_key().view());
-  ev.u8(2);
-  ev.bytes(fork_a.header.encode());
-  ev.bytes(fork_b.header.encode());
-  // Chunk-upload the evidence, then submit with the offender's two
-  // pre-compile-verified signatures attached.
-  std::uint32_t offset = 0;
-  for (const Bytes& chunk : guest::ix::chunk_payload(ev.out())) {
-    host::Transaction tx;
-    tx.payer = fisherman.public_key();
-    tx.instructions.push_back(guest::ix::chunk_upload(1, offset, chunk));
-    offset += static_cast<std::uint32_t>(chunk.size());
-    (void)submit_and_wait(d, std::move(tx));
-  }
-  const Hash32 da = fork_a.hash(), db = fork_b.hash();
-  host::Transaction evtx;
-  evtx.payer = fisherman.public_key();
-  evtx.instructions.push_back(guest::ix::submit_evidence(1));
-  evtx.sig_verifies.push_back(
-      host::SigVerify{offender.public_key(), da, offender.sign(da.view())});
-  evtx.sig_verifies.push_back(
-      host::SigVerify{offender.public_key(), db, offender.sign(db.view())});
+  // Chunk-upload the evidence, then submit it with the offender's two
+  // signatures attached as pre-compile checks.
+  const guest::ix::Evidence ev{
+      offender.public_key(),
+      {fork_a.header, fork_b.header},
+      {offender.sign(fork_a.hash().view()), offender.sign(fork_b.hash().view())}};
+  std::vector<host::Transaction> txs = guest::ix::staged_call(
+      fisherman.public_key(), host::FeePolicy::base(), 1, ev.encode(),
+      guest::ix::submit_evidence, "fisherman:evidence", d.host().max_tx_size(),
+      "fisherman:chunk");
+  txs.back().sig_verifies = ev.sig_verifies();
+  for (std::size_t i = 0; i + 1 < txs.size(); ++i)
+    (void)submit_and_wait(d, std::move(txs[i]));
   const std::uint64_t fisherman_before = d.host().balance(fisherman.public_key());
-  const auto res = submit_and_wait(d, std::move(evtx));
+  const auto res = submit_and_wait(d, std::move(txs.back()));
   std::printf("[%7.1fs] fisherman submits evidence: %s\n", d.sim().now(),
               res.success ? "validator SLASHED" : res.error.c_str());
   std::printf("           offender banned: %s, stake now %llu\n",

@@ -12,12 +12,6 @@ namespace bmg::adversary {
 namespace {
 constexpr std::uint64_t kGrieferStream = 0x6121'EF3A'11B2ull;
 constexpr std::size_t kReplayAmmo = 8;
-
-std::uint64_t mix_payer(std::uint64_t seed, const crypto::PublicKey& key) {
-  std::uint64_t h = seed ^ kGrieferStream;
-  for (unsigned char b : key.raw()) h = (h ^ b) * 0x1000'0000'01B3ull;
-  return h;
-}
 }  // namespace
 
 GriefingRelayerAgent::GriefingRelayerAgent(
@@ -34,8 +28,9 @@ GriefingRelayerAgent::GriefingRelayerAgent(
       plan_(plan),
       counters_(counters),
       cfg_(std::move(cfg)),
-      rng_(mix_payer(seed, payer_)),
-      pipeline_(sim, host, Rng(mix_payer(seed, payer_) ^ 0xA1B2ull), cfg_.pipeline),
+      rng_(fold_seed(seed ^ kGrieferStream, payer_.view())),
+      pipeline_(sim, host, Rng(fold_seed(seed ^ kGrieferStream, payer_.view()) ^ 0xA1B2ull),
+                cfg_.pipeline),
       timer_owner_(sim.register_agent()) {}
 
 void GriefingRelayerAgent::start() { schedule_poll(); }
@@ -109,38 +104,12 @@ void GriefingRelayerAgent::try_clobber(double t) {
   // discarded.  One shot per height — the point is griefing, not a
   // permanent wedge (the honest rebuild budget must win in the end).
   const ibc::SignedQuorumHeader& sh = cp_.header_at(target);
-  Encoder payload(4 + sh.header.byte_size() + 1 +
-                  (sh.next_validators ? 4 + sh.next_validators->byte_size() : 0));
-  payload.u32(static_cast<std::uint32_t>(sh.header.byte_size()));
-  sh.header.encode_into(payload);
-  payload.boolean(sh.next_validators.has_value());
-  if (sh.next_validators) {
-    payload.u32(static_cast<std::uint32_t>(sh.next_validators->byte_size()));
-    sh.next_validators->encode_into(payload);
-  }
-
-  const std::uint64_t buffer_id = next_buffer_++;
-  std::vector<host::Transaction> txs;
-  std::uint32_t offset = 0;
-  for (const Bytes& chunk : guest::ix::chunk_payload(payload.out(), cfg_.host_max_tx_size)) {
-    host::Transaction tx;
-    tx.payer = payer_;
-    tx.fee = cfg_.fee;
-    tx.label = "griefer:clobber:chunk";
-    tx.instructions.push_back(guest::ix::chunk_upload(buffer_id, offset, chunk));
-    offset += static_cast<std::uint32_t>(chunk.size());
-    txs.push_back(std::move(tx));
-  }
-  host::Transaction fin;
-  fin.payer = payer_;
-  fin.fee = cfg_.fee;
-  fin.label = "griefer:clobber";
-  fin.instructions.push_back(guest::ix::begin_client_update(buffer_id));
-  txs.push_back(std::move(fin));
-
   clobber_in_flight_ = true;
   pipeline_.submit_sequence(
-      std::move(txs),
+      guest::ix::staged_call(payer_, cfg_.fee, next_buffer_++,
+                             guest::ix::ClientUpdate::encode(sh.header, sh.next_validators),
+                             guest::ix::begin_client_update, "griefer:clobber",
+                             host_.max_tx_size()),
       [this, target](const relayer::SequenceOutcome& out) {
         clobber_in_flight_ = false;
         if (out.ok) {
@@ -293,34 +262,10 @@ void GriefingRelayerAgent::submit_recv_sequence(const ibc::Packet& packet,
     if (done) done(false);
     return;
   }
-  Encoder payload(4 + packet.wire_size() + 8 + 4 + proof.byte_size());
-  payload.u32(static_cast<std::uint32_t>(packet.wire_size()));
-  packet.encode_into(payload);
-  payload.u64(proof_height);
-  payload.u32(static_cast<std::uint32_t>(proof.byte_size()));
-  proof.serialize_into(payload);
-
-  const std::uint64_t buffer_id = next_buffer_++;
-  std::vector<host::Transaction> txs;
-  std::uint32_t offset = 0;
-  for (const Bytes& chunk : guest::ix::chunk_payload(payload.out(), cfg_.host_max_tx_size)) {
-    host::Transaction tx;
-    tx.payer = payer_;
-    tx.fee = cfg_.fee;
-    tx.label = label + ":chunk";
-    tx.instructions.push_back(guest::ix::chunk_upload(buffer_id, offset, chunk));
-    offset += static_cast<std::uint32_t>(chunk.size());
-    txs.push_back(std::move(tx));
-  }
-  host::Transaction fin;
-  fin.payer = payer_;
-  fin.fee = cfg_.fee;
-  fin.label = label;
-  fin.instructions.push_back(guest::ix::receive_packet(buffer_id));
-  txs.push_back(std::move(fin));
-
   pipeline_.submit_sequence(
-      std::move(txs),
+      guest::ix::staged_call(payer_, cfg_.fee, next_buffer_++,
+                             guest::ix::PacketProof::encode(packet, proof_height, proof),
+                             guest::ix::receive_packet, label, host_.max_tx_size()),
       [done = std::move(done)](const relayer::SequenceOutcome& out) {
         if (done) done(out.ok);
       },

@@ -52,7 +52,6 @@ struct GrieferConfig {
   double poll_s = 1.0;
   /// Bundle tip per transaction — the griefer buys inclusion priority.
   host::FeePolicy fee = host::FeePolicy::bundle(host::usd_to_lamports(0.01));
-  std::size_t host_max_tx_size = host::kMaxTransactionSize;
   relayer::PipelineConfig pipeline;
 };
 

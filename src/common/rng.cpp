@@ -21,6 +21,11 @@ std::uint64_t rotl(std::uint64_t x, int k) noexcept {
 constexpr double kPi = 3.14159265358979323846;
 }  // namespace
 
+std::uint64_t fold_seed(std::uint64_t seed, ByteView bytes) noexcept {
+  for (const std::uint8_t b : bytes) seed = (seed ^ b) * 0x1000'0000'01B3ull;
+  return seed;
+}
+
 std::uint64_t stream_seed(std::uint64_t seed, std::uint64_t stream) noexcept {
   // Mix the seed, fold the stream index into the advanced state, mix
   // again, then a final avalanche round: adjacent (seed, stream)

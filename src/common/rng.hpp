@@ -8,6 +8,8 @@
 
 #include <cstdint>
 
+#include "common/bytes.hpp"
+
 namespace bmg {
 
 /// Deterministically derives the state seed of independent stream
@@ -18,6 +20,11 @@ namespace bmg {
 /// sharded, or alone — and unrelated to every sibling cell's stream.
 [[nodiscard]] std::uint64_t stream_seed(std::uint64_t seed,
                                         std::uint64_t stream) noexcept;
+
+/// Folds `bytes` into `seed` with FNV-1a (one xor-multiply per byte).
+/// Agents fold their payer key into a per-role seed, so co-deployed
+/// agents of one role draw independent streams deterministically.
+[[nodiscard]] std::uint64_t fold_seed(std::uint64_t seed, ByteView bytes) noexcept;
 
 class Rng {
  public:

@@ -347,12 +347,8 @@ void GuestContract::op_chunk_upload(host::TxContext& ctx, Decoder& d) {
 }
 
 void GuestContract::op_receive_packet(host::TxContext& ctx, Decoder& d) {
-  const Bytes blob = take_buffer(ctx, d.u64());
-  Decoder b(blob);
-  const ibc::Packet packet = ibc::Packet::decode(b.bytes());
-  const ibc::Height proof_height = b.u64();
-  const trie::Proof proof = trie::Proof::deserialize(b.bytes());
-  b.expect_done();
+  const auto [packet, proof_height, proof] =
+      ix::PacketProof::decode(take_buffer(ctx, d.u64()));
 
   // Proof verification is a chain of sha256 syscalls on Solana.
   ctx.consume_cu(kCuRecvBase + 2 * static_cast<std::uint64_t>(proof.byte_size()));
@@ -372,13 +368,8 @@ void GuestContract::op_receive_packet(host::TxContext& ctx, Decoder& d) {
 }
 
 void GuestContract::op_acknowledge_packet(host::TxContext& ctx, Decoder& d) {
-  const Bytes blob = take_buffer(ctx, d.u64());
-  Decoder b(blob);
-  const ibc::Packet packet = ibc::Packet::decode(b.bytes());
-  const ibc::Acknowledgement ack = ibc::Acknowledgement::decode(b.bytes());
-  const ibc::Height proof_height = b.u64();
-  const trie::Proof proof = trie::Proof::deserialize(b.bytes());
-  b.expect_done();
+  const auto [packet, ack, proof_height, proof] =
+      ix::AckProof::decode(take_buffer(ctx, d.u64()));
   ctx.consume_cu(kCuRecvBase + 2 * static_cast<std::uint64_t>(proof.byte_size()));
   try {
     module_.acknowledge_packet(packet, ack, proof_height, proof);
@@ -390,12 +381,8 @@ void GuestContract::op_acknowledge_packet(host::TxContext& ctx, Decoder& d) {
 }
 
 void GuestContract::op_timeout_packet(host::TxContext& ctx, Decoder& d) {
-  const Bytes blob = take_buffer(ctx, d.u64());
-  Decoder b(blob);
-  const ibc::Packet packet = ibc::Packet::decode(b.bytes());
-  const ibc::Height proof_height = b.u64();
-  const trie::Proof proof = trie::Proof::deserialize(b.bytes());
-  b.expect_done();
+  const auto [packet, proof_height, proof] =
+      ix::PacketProof::decode(take_buffer(ctx, d.u64()));
   ctx.consume_cu(kCuRecvBase + 2 * static_cast<std::uint64_t>(proof.byte_size()));
   try {
     module_.timeout_packet(packet, proof_height, proof);
@@ -411,11 +398,10 @@ void GuestContract::op_timeout_packet(host::TxContext& ctx, Decoder& d) {
 void GuestContract::op_begin_client_update(host::TxContext& ctx, Decoder& d) {
   const Bytes blob = take_buffer(ctx, d.u64());
   ctx.consume_cu(10'000 + blob.size());
-  Decoder b(blob);
+  ix::ClientUpdate staged = ix::ClientUpdate::decode(blob);
   PendingUpdate upd;
-  upd.header = ibc::QuorumHeader::decode(b.bytes());
-  if (b.boolean()) upd.next_validators = ibc::ValidatorSet::decode(b.bytes());
-  b.expect_done();
+  upd.header = std::move(staged.header);
+  upd.next_validators = std::move(staged.next_validators);
 
   if (upd.header.chain_id != cfg_.counterparty_chain_id)
     throw host::TxError("client_update: wrong chain id");

@@ -131,6 +131,7 @@ class GuestContract final : public host::Program {
   struct PendingUpdateInfo {
     ibc::Height height = 0;
     std::uint64_t verified_power = 0;
+    /// Signers already counted, sorted.
     std::vector<crypto::PublicKey> seen;
   };
   [[nodiscard]] std::optional<PendingUpdateInfo> pending_update_info() const;

@@ -139,6 +139,73 @@ host::Instruction freeze_client(std::uint64_t buffer_id) {
 
 host::Instruction self_destruct() { return make(Op::kSelfDestruct, {}); }
 
+Bytes ClientUpdate::encode(const ibc::QuorumHeader& header,
+                           const std::optional<ibc::ValidatorSet>& next) {
+  Encoder e(4 + header.byte_size() + 1 + (next ? 4 + next->byte_size() : 0));
+  e.u32(static_cast<std::uint32_t>(header.byte_size()));
+  header.encode_into(e);
+  e.boolean(next.has_value());
+  if (next) {
+    e.u32(static_cast<std::uint32_t>(next->byte_size()));
+    next->encode_into(e);
+  }
+  return e.take();
+}
+
+ClientUpdate ClientUpdate::decode(ByteView blob) {
+  Decoder d(blob);
+  ClientUpdate u;
+  u.header = ibc::QuorumHeader::decode(d.bytes_view());
+  if (d.boolean()) u.next_validators = ibc::ValidatorSet::decode(d.bytes_view());
+  d.expect_done();
+  return u;
+}
+
+Bytes PacketProof::encode(const ibc::Packet& packet, ibc::Height proof_height,
+                          const trie::Proof& proof) {
+  Encoder e(4 + packet.wire_size() + 8 + 4 + proof.byte_size());
+  e.u32(static_cast<std::uint32_t>(packet.wire_size()));
+  packet.encode_into(e);
+  e.u64(proof_height);
+  e.u32(static_cast<std::uint32_t>(proof.byte_size()));
+  proof.serialize_into(e);
+  return e.take();
+}
+
+PacketProof PacketProof::decode(ByteView blob) {
+  Decoder d(blob);
+  PacketProof p;
+  p.packet = ibc::Packet::decode(d.bytes_view());
+  p.proof_height = d.u64();
+  p.proof = trie::Proof::deserialize(d.bytes_view());
+  d.expect_done();
+  return p;
+}
+
+Bytes AckProof::encode(const ibc::Packet& packet, const ibc::Acknowledgement& ack,
+                       ibc::Height proof_height, const trie::Proof& proof) {
+  Encoder e(4 + packet.wire_size() + 4 + ack.wire_size() + 8 + 4 + proof.byte_size());
+  e.u32(static_cast<std::uint32_t>(packet.wire_size()));
+  packet.encode_into(e);
+  e.u32(static_cast<std::uint32_t>(ack.wire_size()));
+  ack.encode_into(e);
+  e.u64(proof_height);
+  e.u32(static_cast<std::uint32_t>(proof.byte_size()));
+  proof.serialize_into(e);
+  return e.take();
+}
+
+AckProof AckProof::decode(ByteView blob) {
+  Decoder d(blob);
+  AckProof a;
+  a.packet = ibc::Packet::decode(d.bytes_view());
+  a.ack = ibc::Acknowledgement::decode(d.bytes_view());
+  a.proof_height = d.u64();
+  a.proof = trie::Proof::deserialize(d.bytes_view());
+  d.expect_done();
+  return a;
+}
+
 std::size_t max_chunk_bytes(std::size_t max_tx_size) {
   // Envelope + op tag + buffer id + offset + length prefix.
   return max_tx_size - host::kTxEnvelopeBytes - 8 - 1 - 8 - 4 - 4 - 16;
@@ -154,6 +221,33 @@ std::vector<Bytes> chunk_payload(ByteView blob, std::size_t max_tx_size) {
   }
   if (out.empty()) out.emplace_back();
   return out;
+}
+
+std::vector<host::Transaction> staged_call(const crypto::PublicKey& payer,
+                                           const host::FeePolicy& fee,
+                                           std::uint64_t buffer_id, ByteView payload,
+                                           BufferOp op, const std::string& label,
+                                           std::size_t max_tx_size,
+                                           const std::string& chunk_label) {
+  const auto tx = [&](std::string tx_label, host::Instruction ix) {
+    host::Transaction t;
+    t.payer = payer;
+    t.fee = fee;
+    t.label = std::move(tx_label);
+    t.instructions.push_back(std::move(ix));
+    return t;
+  };
+  const std::vector<Bytes> chunks = chunk_payload(payload, max_tx_size);
+  std::vector<host::Transaction> txs;
+  txs.reserve(chunks.size() + 1);
+  std::uint32_t offset = 0;
+  for (const Bytes& chunk : chunks) {
+    txs.push_back(tx(chunk_label.empty() ? label + ":chunk" : chunk_label,
+                     chunk_upload(buffer_id, offset, chunk)));
+    offset += static_cast<std::uint32_t>(chunk.size());
+  }
+  txs.push_back(tx(label, op(buffer_id)));
+  return txs;
 }
 
 }  // namespace bmg::guest::ix

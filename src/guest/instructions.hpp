@@ -7,17 +7,33 @@
 // uploaded in chunks into a per-payer staging buffer and then
 // consumed by the operation that references the buffer — the
 // mechanism the paper's implementation uses on Solana (§IV).
+// `staged_call` is the one builder of that chunk-upload sequence, and
+// each staged payload has one encoder and one parser here:
+//
+//   begin_client_update  ClientUpdate  bytes(header) | bool has_next
+//                                      | [bytes(next validator set)]
+//   receive_packet,      PacketProof   bytes(packet) | u64 proof height
+//   timeout_packet                     | bytes(proof)
+//   acknowledge_packet   AckProof      bytes(packet) | bytes(ack)
+//                                      | u64 proof height | bytes(proof)
+//   submit_evidence      Evidence      offender | u8 count
+//                                      | count × bytes(header) | [annex]
+//
+// (`bytes` is a u32 length prefix and the value's own wire encoding.)
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/codec.hpp"
 #include "crypto/keys.hpp"
 #include "host/transaction.hpp"
+#include "ibc/packet.hpp"
 #include "ibc/quorum.hpp"
 #include "ibc/types.hpp"
+#include "trie/node.hpp"
 
 namespace bmg::guest {
 
@@ -113,6 +129,49 @@ struct Evidence {
 [[nodiscard]] host::Instruction freeze_client(std::uint64_t buffer_id);
 [[nodiscard]] host::Instruction self_destruct();
 
+/// The staged payload `begin_client_update` consumes: a counterparty
+/// header and, at an epoch boundary, the next validator set.  The
+/// header's signatures are not in it; they reach the contract as
+/// pre-compile checks on the verify transactions that follow.
+struct ClientUpdate {
+  ibc::QuorumHeader header;
+  std::optional<ibc::ValidatorSet> next_validators;
+
+  /// Encodes from borrowed parts into one exactly-sized buffer.
+  [[nodiscard]] static Bytes encode(const ibc::QuorumHeader& header,
+                                    const std::optional<ibc::ValidatorSet>& next);
+  /// Throws CodecError (or the header/set parser's error) on malformed
+  /// input, including trailing bytes.
+  [[nodiscard]] static ClientUpdate decode(ByteView blob);
+};
+
+/// The staged payload of `receive_packet` and `timeout_packet`: the
+/// packet and a counterparty proof at `proof_height` (of its
+/// commitment for a receive, of its missing receipt for a timeout).
+struct PacketProof {
+  ibc::Packet packet;
+  ibc::Height proof_height = 0;
+  trie::Proof proof;
+
+  [[nodiscard]] static Bytes encode(const ibc::Packet& packet, ibc::Height proof_height,
+                                    const trie::Proof& proof);
+  [[nodiscard]] static PacketProof decode(ByteView blob);
+};
+
+/// The staged payload of `acknowledge_packet`: the packet, its
+/// acknowledgement and a counterparty proof of the ack.
+struct AckProof {
+  ibc::Packet packet;
+  ibc::Acknowledgement ack;
+  ibc::Height proof_height = 0;
+  trie::Proof proof;
+
+  [[nodiscard]] static Bytes encode(const ibc::Packet& packet,
+                                    const ibc::Acknowledgement& ack,
+                                    ibc::Height proof_height, const trie::Proof& proof);
+  [[nodiscard]] static AckProof decode(ByteView blob);
+};
+
 /// Splits `blob` into chunks that fit a host transaction alongside the
 /// ChunkUpload framing.  `max_tx_size` defaults to Solana's limit.
 [[nodiscard]] std::vector<Bytes> chunk_payload(
@@ -121,6 +180,21 @@ struct Evidence {
 /// Bytes of buffer payload that fit in one chunk-upload transaction.
 [[nodiscard]] std::size_t max_chunk_bytes(
     std::size_t max_tx_size = host::kMaxTransactionSize);
+
+/// An operation that consumes a staging buffer (receive_packet,
+/// begin_client_update, submit_evidence, handshake, ...).
+using BufferOp = host::Instruction (*)(std::uint64_t buffer_id);
+
+/// One staged guest call: `payload` chunk-uploaded into staging buffer
+/// `buffer_id`, then one transaction running `op(buffer_id)`.  Every
+/// transaction is paid by `payer` at `fee` and fits a host whose
+/// transactions hold at most `max_tx_size` bytes.  The finishing
+/// transaction is labelled `label`, the chunk uploads `chunk_label`
+/// (`label + ":chunk"` when empty); fault plans match on both.
+[[nodiscard]] std::vector<host::Transaction> staged_call(
+    const crypto::PublicKey& payer, const host::FeePolicy& fee, std::uint64_t buffer_id,
+    ByteView payload, BufferOp op, const std::string& label, std::size_t max_tx_size,
+    const std::string& chunk_label = {});
 
 }  // namespace ix
 }  // namespace bmg::guest

@@ -124,6 +124,8 @@ class Chain {
   /// Submits a transaction.  The result handler fires when the tx is
   /// executed or dropped.  Oversized transactions fail immediately.
   void submit(Transaction tx, ResultHandler on_result = {});
+  /// Largest transaction (wire bytes) this host accepts.
+  [[nodiscard]] std::size_t max_tx_size() const noexcept { return cfg_.max_tx_size; }
 
   void subscribe(const std::string& program, EventHandler handler);
   /// Commitment-aware subscription.  On a non-fork-aware chain all

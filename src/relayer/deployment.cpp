@@ -92,7 +92,6 @@ Deployment::Deployment(DeploymentConfig cfg)
       client_payer_(crypto::PrivateKey::from_label("client-payer").public_key()),
       service_payer_(crypto::PrivateKey::from_label("service-payer").public_key()) {
   if (cfg_.validators.empty()) cfg_.validators = paper_validators();
-  cfg_.relayer.host_max_tx_size = cfg_.host.max_tx_size;
 
   // Genesis validator set of the guest chain.
   std::vector<ibc::ValidatorInfo> genesis;
@@ -236,12 +235,10 @@ ibc::Height Deployment::wait_cp_block() {
 
 void Deployment::guest_handshake_call(ByteView payload) {
   bool done = false, ok = false;
-  std::uint64_t buffer_id = 0;
-  auto txs = relayer_->chunked_call(payload, guest::ix::handshake(0), &buffer_id,
-                                    "handshake");
-  txs.back().instructions[0] = guest::ix::handshake(buffer_id);
-  for (auto& tx : txs) tx.payer = service_payer_;
-  relayer_->submit_sequence(std::move(txs),
+  relayer_->submit_sequence(guest::ix::staged_call(service_payer_, cfg_.relayer.fee,
+                                                   relayer_->claim_buffer_id(), payload,
+                                                   guest::ix::handshake, "handshake",
+                                                   host_.max_tx_size()),
                             [&](const RelayerAgent::SequenceOutcome& out) {
                               done = true;
                               ok = out.ok;

@@ -57,7 +57,9 @@ class FishermanAgent final : public sim::CrashableAgent {
         contract_(contract),
         bus_(bus),
         payer_(std::move(payer)),
-        pipeline_(sim, host, Rng(fold_payer_seed(payer_)), pipeline_cfg) {}
+        // Its own base seed: a stream distinct from the relayers'.
+        pipeline_(sim, host, Rng(fold_seed(0xF15'4E12'3A5Eull, payer_.view())),
+                  pipeline_cfg) {}
 
   void start() {
     bus_.subscribe([this](const SignatureGossip& g) {
@@ -160,23 +162,11 @@ class FishermanAgent final : public sim::CrashableAgent {
   }
 
   void submit_evidence(const guest::ix::Evidence& ev) {
-    const std::uint64_t buffer_id = next_buffer_++;
-    std::uint32_t offset = 0;
-    std::vector<host::Transaction> txs;
-    for (const Bytes& chunk : guest::ix::chunk_payload(ev.encode())) {
-      host::Transaction tx;
-      tx.payer = payer_;
-      tx.label = "fisherman:chunk";
-      tx.instructions.push_back(guest::ix::chunk_upload(buffer_id, offset, chunk));
-      offset += static_cast<std::uint32_t>(chunk.size());
-      txs.push_back(std::move(tx));
-    }
-    host::Transaction fin;
-    fin.payer = payer_;
-    fin.label = "fisherman:evidence";
-    fin.instructions.push_back(guest::ix::submit_evidence(buffer_id));
-    fin.sig_verifies = ev.sig_verifies();
-    txs.push_back(std::move(fin));
+    std::vector<host::Transaction> txs = guest::ix::staged_call(
+        payer_, host::FeePolicy::base(), next_buffer_++, ev.encode(),
+        guest::ix::submit_evidence, "fisherman:evidence", host_.max_tx_size(),
+        "fisherman:chunk");
+    txs.back().sig_verifies = ev.sig_verifies();
 
     ++submitted_;
     // Evidence must survive drops and blackholes: a fisherman that
@@ -230,12 +220,6 @@ class FishermanAgent final : public sim::CrashableAgent {
         continue;
       }
     }
-  }
-
-  [[nodiscard]] static std::uint64_t fold_payer_seed(const crypto::PublicKey& key) {
-    std::uint64_t h = 0xF15'4E12'3A5Eull;  // distinct stream from relayers
-    for (unsigned char b : key.raw()) h = (h ^ b) * 0x1000'0000'01B3ull;
-    return h;
   }
 
   sim::Simulation& sim_;

@@ -2,19 +2,8 @@
 
 #include <algorithm>
 #include <memory>
-#include <set>
 
 namespace bmg::relayer {
-
-namespace {
-/// Folds a public key into the pipeline seed so co-deployed relayers
-/// draw independent backoff-jitter streams deterministically.
-std::uint64_t mix_seed(std::uint64_t seed, const crypto::PublicKey& key) {
-  std::uint64_t h = seed;
-  for (unsigned char b : key.raw()) h = (h ^ b) * 0x1000'0000'01B3ull;
-  return h;
-}
-}  // namespace
 
 RelayerAgent::RelayerAgent(sim::Simulation& sim, host::Chain& host,
                            guest::GuestContract& contract,
@@ -28,7 +17,7 @@ RelayerAgent::RelayerAgent(sim::Simulation& sim, host::Chain& host,
       guest_client_on_cp_(std::move(guest_client_on_cp)),
       payer_(std::move(payer)),
       cfg_(cfg),
-      pipeline_(sim, host, Rng(mix_seed(cfg.pipeline_seed, payer_)), cfg.pipeline) {
+      pipeline_(sim, host, Rng(fold_seed(cfg.pipeline_seed, payer_.view())), cfg.pipeline) {
   timer_owner_ = sim_.register_agent();
 }
 
@@ -227,79 +216,13 @@ void RelayerAgent::note_cp_reject(const std::string& label, const std::string& w
       RelayError{RelayErrorKind::kCounterpartyReject, label, what, sim_.now(), 0});
 }
 
-std::vector<host::Transaction> RelayerAgent::chunked_call(ByteView payload,
-                                                          host::Instruction final_ix,
-                                                          std::uint64_t* buffer_id_out,
-                                                          const std::string& label) {
-  const std::uint64_t buffer_id = next_buffer_id_++;
-  if (buffer_id_out != nullptr) *buffer_id_out = buffer_id;
-  std::vector<host::Transaction> txs;
-  std::uint32_t offset = 0;
-  for (const Bytes& chunk : guest::ix::chunk_payload(payload, cfg_.host_max_tx_size)) {
-    host::Transaction tx;
-    tx.payer = payer_;
-    tx.fee = cfg_.fee;
-    tx.label = label + ":chunk";
-    tx.instructions.push_back(guest::ix::chunk_upload(buffer_id, offset, chunk));
-    offset += static_cast<std::uint32_t>(chunk.size());
-    txs.push_back(std::move(tx));
-  }
-  host::Transaction fin;
-  fin.payer = payer_;
-  fin.fee = cfg_.fee;
-  fin.label = label;
-  fin.instructions.push_back(std::move(final_ix));
-  txs.push_back(std::move(fin));
-  return txs;
-}
-
 std::vector<host::Transaction> RelayerAgent::build_update_sequence(
     const ibc::SignedQuorumHeader& sh) {
-  // Buffer payload: header bytes + optional next validator set,
-  // sized exactly and encoded in place (no intermediate buffers).
-  Encoder payload(4 + sh.header.byte_size() + 1 +
-                  (sh.next_validators ? 4 + sh.next_validators->byte_size() : 0));
-  payload.u32(static_cast<std::uint32_t>(sh.header.byte_size()));
-  sh.header.encode_into(payload);
-  payload.boolean(sh.next_validators.has_value());
-  if (sh.next_validators) {
-    payload.u32(static_cast<std::uint32_t>(sh.next_validators->byte_size()));
-    sh.next_validators->encode_into(payload);
-  }
-
-  std::uint64_t buffer_id = 0;
-  std::vector<host::Transaction> txs =
-      chunked_call(payload.out(), guest::ix::begin_client_update(0), &buffer_id,
-                   "lc-update");
-  // chunked_call assigned the real buffer id after we passed 0; rebuild
-  // the final instruction with the correct id.
-  txs.back().instructions[0] = guest::ix::begin_client_update(buffer_id);
-
-  const Hash32& digest = sh.signing_digest();
-  for (std::size_t i = 0; i < sh.signatures.size();
-       i += static_cast<std::size_t>(cfg_.sigs_per_update_tx)) {
-    host::Transaction tx;
-    tx.payer = payer_;
-    tx.fee = cfg_.fee;
-    tx.label = "lc-update:sigs";
-    tx.instructions.push_back(guest::ix::verify_update_signatures());
-    tx.sig_verifies.reserve(std::min(
-        sh.signatures.size() - i, static_cast<std::size_t>(cfg_.sigs_per_update_tx)));
-    for (std::size_t j = i;
-         j < sh.signatures.size() && j < i + static_cast<std::size_t>(cfg_.sigs_per_update_tx);
-         ++j) {
-      tx.sig_verifies.push_back(
-          host::SigVerify{sh.signatures[j].first, digest, sh.signatures[j].second});
-    }
-    txs.push_back(std::move(tx));
-  }
-
-  host::Transaction fin;
-  fin.payer = payer_;
-  fin.fee = cfg_.fee;
-  fin.label = "lc-update:finish";
-  fin.instructions.push_back(guest::ix::finish_client_update());
-  txs.push_back(std::move(fin));
+  std::vector<host::Transaction> txs = guest::ix::staged_call(
+      payer_, cfg_.fee, next_buffer_id_++,
+      guest::ix::ClientUpdate::encode(sh.header, sh.next_validators),
+      guest::ix::begin_client_update, "lc-update", host_.max_tx_size());
+  append_update_signatures(sh, {}, txs);
   return txs;
 }
 
@@ -309,38 +232,37 @@ std::vector<host::Transaction> RelayerAgent::build_update_resume_sequence(
   // The contract dedups signatures against its pending-update `seen`
   // set and rejects a tx whose signatures are *all* duplicates, so a
   // resume must submit only the not-yet-verified ones.
-  const std::set<crypto::PublicKey> seen(pending.seen.begin(), pending.seen.end());
-  const Hash32& digest = sh.signing_digest();
-
   std::vector<host::Transaction> txs;
-  host::Transaction cur;
-  for (const auto& [pubkey, sig] : sh.signatures) {
-    if (seen.count(pubkey) > 0) continue;
-    cur.sig_verifies.push_back(host::SigVerify{pubkey, digest, sig});
-    if (cur.sig_verifies.size() >= static_cast<std::size_t>(cfg_.sigs_per_update_tx)) {
-      cur.payer = payer_;
-      cur.fee = cfg_.fee;
-      cur.label = "lc-update:sigs";
-      cur.instructions.push_back(guest::ix::verify_update_signatures());
-      txs.push_back(std::move(cur));
-      cur = {};
-    }
-  }
-  if (!cur.sig_verifies.empty()) {
-    cur.payer = payer_;
-    cur.fee = cfg_.fee;
-    cur.label = "lc-update:sigs";
-    cur.instructions.push_back(guest::ix::verify_update_signatures());
-    txs.push_back(std::move(cur));
-  }
-
-  host::Transaction fin;
-  fin.payer = payer_;
-  fin.fee = cfg_.fee;
-  fin.label = "lc-update:finish";
-  fin.instructions.push_back(guest::ix::finish_client_update());
-  txs.push_back(std::move(fin));
+  append_update_signatures(sh, pending.seen, txs);
   return txs;
+}
+
+void RelayerAgent::append_update_signatures(const ibc::SignedQuorumHeader& sh,
+                                            const std::vector<crypto::PublicKey>& seen,
+                                            std::vector<host::Transaction>& txs) const {
+  const auto tx = [this](const char* label, host::Instruction ix) {
+    host::Transaction t;
+    t.payer = payer_;
+    t.fee = cfg_.fee;
+    t.label = label;
+    t.instructions.push_back(std::move(ix));
+    return t;
+  };
+  const Hash32& digest = sh.signing_digest();
+  const auto per_tx = static_cast<std::size_t>(cfg_.sigs_per_update_tx);
+  std::size_t in_tx = per_tx;  // signatures in the newest tx; full = start another
+  for (std::size_t j = 0; j < sh.signatures.size(); ++j) {
+    const auto& [pubkey, sig] = sh.signatures[j];
+    if (std::binary_search(seen.begin(), seen.end(), pubkey)) continue;
+    if (in_tx == per_tx) {
+      txs.push_back(tx("lc-update:sigs", guest::ix::verify_update_signatures()));
+      txs.back().sig_verifies.reserve(std::min(per_tx, sh.signatures.size() - j));
+      in_tx = 0;
+    }
+    txs.back().sig_verifies.push_back(host::SigVerify{pubkey, digest, sig});
+    ++in_tx;
+  }
+  txs.push_back(tx("lc-update:finish", guest::ix::finish_client_update()));
 }
 
 // --- guest -> counterparty ------------------------------------------------------
@@ -509,17 +431,10 @@ void RelayerAgent::deliver_packet_to_guest(const ibc::Packet& packet,
                                            ibc::Height proof_height, SequenceDone done) {
   const auto key = ibc::packet_key(ibc::KeyKind::kPacketCommitment, packet.source_port,
                                    packet.source_channel, packet.sequence);
-  const trie::Proof proof = cp_proof(proof_height, key);
-  Encoder payload(4 + packet.wire_size() + 8 + 4 + proof.byte_size());
-  payload.u32(static_cast<std::uint32_t>(packet.wire_size()));
-  packet.encode_into(payload);
-  payload.u64(proof_height);
-  payload.u32(static_cast<std::uint32_t>(proof.byte_size()));
-  proof.serialize_into(payload);
-  std::uint64_t buffer_id = 0;
-  auto txs = chunked_call(payload.out(), guest::ix::receive_packet(0), &buffer_id,
-                          "recv-packet");
-  txs.back().instructions[0] = guest::ix::receive_packet(buffer_id);
+  auto txs = guest::ix::staged_call(
+      payer_, cfg_.fee, next_buffer_id_++,
+      guest::ix::PacketProof::encode(packet, proof_height, cp_proof(proof_height, key)),
+      guest::ix::receive_packet, "recv-packet", host_.max_tx_size());
   submit_sequence(
       std::move(txs),
       [this, packet, proof_height, done = std::move(done)](const SequenceOutcome& out) {
@@ -544,20 +459,10 @@ void RelayerAgent::deliver_ack_to_guest(const ibc::Packet& packet,
                                         ibc::Height proof_height, SequenceDone done) {
   const auto key = ibc::packet_key(ibc::KeyKind::kPacketAck, packet.dest_port,
                                    packet.dest_channel, packet.sequence);
-  const trie::Proof proof = cp_proof(proof_height, key);
-  Encoder payload(4 + packet.wire_size() + 4 + ack.wire_size() + 8 + 4 +
-                  proof.byte_size());
-  payload.u32(static_cast<std::uint32_t>(packet.wire_size()));
-  packet.encode_into(payload);
-  payload.u32(static_cast<std::uint32_t>(ack.wire_size()));
-  ack.encode_into(payload);
-  payload.u64(proof_height);
-  payload.u32(static_cast<std::uint32_t>(proof.byte_size()));
-  proof.serialize_into(payload);
-  std::uint64_t buffer_id = 0;
-  auto txs = chunked_call(payload.out(), guest::ix::acknowledge_packet(0), &buffer_id,
-                          "ack-packet");
-  txs.back().instructions[0] = guest::ix::acknowledge_packet(buffer_id);
+  auto txs = guest::ix::staged_call(
+      payer_, cfg_.fee, next_buffer_id_++,
+      guest::ix::AckProof::encode(packet, ack, proof_height, cp_proof(proof_height, key)),
+      guest::ix::acknowledge_packet, "ack-packet", host_.max_tx_size());
   submit_sequence(
       std::move(txs),
       [this, packet, ack, proof_height, done = std::move(done)](
@@ -577,18 +482,12 @@ void RelayerAgent::deliver_timeout_to_guest(const ibc::Packet& packet,
                                             ibc::Height proof_height, SequenceDone done) {
   const auto key = ibc::packet_key(ibc::KeyKind::kPacketReceipt, packet.dest_port,
                                    packet.dest_channel, packet.sequence);
-  const trie::Proof proof = cp_proof(proof_height, key);
-  Encoder payload(4 + packet.wire_size() + 8 + 4 + proof.byte_size());
-  payload.u32(static_cast<std::uint32_t>(packet.wire_size()));
-  packet.encode_into(payload);
-  payload.u64(proof_height);
-  payload.u32(static_cast<std::uint32_t>(proof.byte_size()));
-  proof.serialize_into(payload);
-  std::uint64_t buffer_id = 0;
-  auto txs = chunked_call(payload.out(), guest::ix::timeout_packet(0), &buffer_id,
-                          "timeout-packet");
-  txs.back().instructions[0] = guest::ix::timeout_packet(buffer_id);
-  submit_sequence(std::move(txs), std::move(done));
+  submit_sequence(
+      guest::ix::staged_call(
+          payer_, cfg_.fee, next_buffer_id_++,
+          guest::ix::PacketProof::encode(packet, proof_height, cp_proof(proof_height, key)),
+          guest::ix::timeout_packet, "timeout-packet", host_.max_tx_size()),
+      std::move(done));
 }
 
 void RelayerAgent::pump_cp_to_guest() {

@@ -33,8 +33,6 @@ struct RelayerConfig {
   int sigs_per_update_tx = 4;
   /// Event-polling latency before the relayer reacts.
   double poll_latency_s = 0.3;
-  /// Host transaction size limit used for chunking (Solana default).
-  std::size_t host_max_tx_size = host::kMaxTransactionSize;
   /// Network latency for calls into the counterparty chain.
   double counterparty_latency_s = 0.5;
   /// Retry/backoff/fee-escalation policy of the submission pipeline.
@@ -108,12 +106,9 @@ class RelayerAgent final : public sim::CrashableAgent {
   /// mid-sequence resumption), reporting aggregate cost and timing.
   void submit_sequence(std::vector<host::Transaction> txs, SequenceDone done);
 
-  /// Chunk-uploads `payload` into a fresh staging buffer and appends
-  /// `final_ix` consuming it.  Returns the transaction list.
-  [[nodiscard]] std::vector<host::Transaction> chunked_call(ByteView payload,
-                                                            host::Instruction final_ix,
-                                                            std::uint64_t* buffer_id_out,
-                                                            const std::string& label);
+  /// Claims a fresh staging-buffer id (the set-up handshake draws its
+  /// buffers from the relayer's counter too).
+  [[nodiscard]] std::uint64_t claim_buffer_id() noexcept { return next_buffer_id_++; }
 
   /// Builds the full light-client-update transaction sequence for a
   /// counterparty header (chunks + begin + N sig-verify txs + finish).
@@ -154,6 +149,12 @@ class RelayerAgent final : public sim::CrashableAgent {
   void update_guest_client_attempt(ibc::Height cp_height, std::function<void()> done,
                                    int rebuilds_left);
   void note_cp_reject(const std::string& label, const std::string& what);
+  /// Appends the sig-verify txs for `sh`'s signatures whose signer is
+  /// not in `seen` (sorted), `sigs_per_update_tx` per tx in header
+  /// order, then the finish.  A fresh update passes nothing seen.
+  void append_update_signatures(const ibc::SignedQuorumHeader& sh,
+                                const std::vector<crypto::PublicKey>& seen,
+                                std::vector<host::Transaction>& txs) const;
   /// First cp height whose snapshot proves `key`: the latest block if
   /// it already does, else the next one.
   [[nodiscard]] ibc::Height cp_ready_height(ByteView key) const;

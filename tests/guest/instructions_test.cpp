@@ -4,8 +4,10 @@
 
 #include <string>
 
+#include "crypto/sha256.hpp"
 #include "host/constants.hpp"
 #include "host/program.hpp"
+#include "trie/trie.hpp"
 
 namespace bmg::guest {
 namespace {
@@ -141,6 +143,168 @@ TEST(Evidence, PartialAnnexOrTrailingBytesThrow) {
   Bytes trailing = wire;
   trailing.push_back(0);
   EXPECT_THROW((void)ix::Evidence::decode(trailing), CodecError);
+}
+
+// --- staged payload codecs ---------------------------------------------------
+
+ibc::QuorumHeader sample_header() {
+  ibc::QuorumHeader h;
+  h.chain_id = "counterparty-1";
+  h.height = 41;
+  h.timestamp = 99.25;
+  h.state_root.bytes[3] = 0x5A;
+  h.extra = Bytes{1, 2, 3};
+  return h;
+}
+
+ibc::ValidatorSet sample_set() {
+  std::vector<ibc::ValidatorInfo> vs;
+  for (int i = 0; i < 3; ++i)
+    vs.push_back({crypto::PrivateKey::from_label("codec-val-" + std::to_string(i))
+                      .public_key(),
+                  static_cast<std::uint64_t>(10 + i)});
+  return ibc::ValidatorSet(std::move(vs));
+}
+
+ibc::Packet sample_packet() {
+  ibc::Packet p;
+  p.sequence = 7;
+  p.source_port = "transfer";
+  p.source_channel = "channel-0";
+  p.dest_port = "transfer";
+  p.dest_channel = "channel-1";
+  p.data = bytes_of("token data");
+  p.timeout_height = 300;
+  p.timeout_timestamp = 1234.5;
+  return p;
+}
+
+trie::Proof sample_proof() {
+  trie::SealableTrie t;
+  for (std::uint64_t i = 0; i < 16; ++i) {
+    Encoder k;
+    k.u64(i);
+    t.set(k.out(), crypto::Sha256::digest(k.out()));
+  }
+  Encoder k;
+  k.u64(5);
+  return t.prove(k.out());
+}
+
+/// Every strict prefix of `wire` and `wire` plus one byte must throw.
+template <typename Codec>
+void expect_truncations_and_trailing_byte_throw(const Bytes& wire) {
+  for (std::size_t n = 0; n < wire.size(); ++n)
+    EXPECT_THROW((void)Codec::decode(ByteView{wire.data(), n}), CodecError) << n;
+  Bytes trailing = wire;
+  trailing.push_back(0);
+  EXPECT_THROW((void)Codec::decode(trailing), CodecError);
+}
+
+TEST(ClientUpdate, WireLayoutIsHeaderFlagNextSet) {
+  const ibc::QuorumHeader h = sample_header();
+  const ibc::ValidatorSet next = sample_set();
+  Encoder without;
+  without.bytes(h.encode()).boolean(false);
+  EXPECT_EQ(ix::ClientUpdate::encode(h, std::nullopt), without.take());
+  Encoder with;
+  with.bytes(h.encode()).boolean(true).bytes(next.encode());
+  EXPECT_EQ(ix::ClientUpdate::encode(h, next), with.take());
+}
+
+TEST(ClientUpdate, RoundTripsAndRejectsTruncationAndTrailingByte) {
+  for (const bool has_next : {false, true}) {
+    const std::optional<ibc::ValidatorSet> next =
+        has_next ? std::optional<ibc::ValidatorSet>(sample_set()) : std::nullopt;
+    const Bytes wire = ix::ClientUpdate::encode(sample_header(), next);
+    const ix::ClientUpdate back = ix::ClientUpdate::decode(wire);
+    EXPECT_EQ(back.header, sample_header());
+    EXPECT_EQ(back.next_validators, next);
+    expect_truncations_and_trailing_byte_throw<ix::ClientUpdate>(wire);
+  }
+}
+
+TEST(PacketProof, WireLayoutIsPacketHeightProof) {
+  Encoder e;
+  e.bytes(sample_packet().encode()).u64(12).bytes(sample_proof().serialize());
+  EXPECT_EQ(ix::PacketProof::encode(sample_packet(), 12, sample_proof()), e.take());
+}
+
+TEST(PacketProof, RoundTripsAndRejectsTruncationAndTrailingByte) {
+  const Bytes wire = ix::PacketProof::encode(sample_packet(), 12, sample_proof());
+  const ix::PacketProof back = ix::PacketProof::decode(wire);
+  EXPECT_EQ(back.packet, sample_packet());
+  EXPECT_EQ(back.proof_height, 12u);
+  EXPECT_EQ(back.proof.serialize(), sample_proof().serialize());
+  expect_truncations_and_trailing_byte_throw<ix::PacketProof>(wire);
+}
+
+TEST(AckProof, WireLayoutIsPacketAckHeightProof) {
+  const ibc::Acknowledgement ack = ibc::Acknowledgement::ok(bytes_of("done"));
+  Encoder e;
+  e.bytes(sample_packet().encode()).bytes(ack.encode()).u64(12).bytes(
+      sample_proof().serialize());
+  EXPECT_EQ(ix::AckProof::encode(sample_packet(), ack, 12, sample_proof()), e.take());
+}
+
+TEST(AckProof, RoundTripsAndRejectsTruncationAndTrailingByte) {
+  for (const ibc::Acknowledgement& ack :
+       {ibc::Acknowledgement::ok(bytes_of("done")), ibc::Acknowledgement::fail("no funds")}) {
+    const Bytes wire = ix::AckProof::encode(sample_packet(), ack, 12, sample_proof());
+    const ix::AckProof back = ix::AckProof::decode(wire);
+    EXPECT_EQ(back.packet, sample_packet());
+    EXPECT_EQ(back.ack, ack);
+    EXPECT_EQ(back.proof_height, 12u);
+    EXPECT_EQ(back.proof.serialize(), sample_proof().serialize());
+    expect_truncations_and_trailing_byte_throw<ix::AckProof>(wire);
+  }
+}
+
+// --- staged call builder ------------------------------------------------------
+
+TEST(StagedCall, ChunksThenOneFinishingCallOnTheSameBuffer) {
+  const crypto::PublicKey payer = crypto::PrivateKey::from_label("stager").public_key();
+  const host::FeePolicy fee = host::FeePolicy::priority(5);
+  Bytes blob(2 * ix::max_chunk_bytes() + 10);
+  for (std::size_t i = 0; i < blob.size(); ++i) blob[i] = static_cast<std::uint8_t>(i);
+  const auto txs = ix::staged_call(payer, fee, 77, blob, ix::timeout_packet, "timeout",
+                                   host::kMaxTransactionSize);
+  const std::vector<Bytes> chunks = ix::chunk_payload(blob);
+  ASSERT_EQ(chunks.size(), 3u);
+  ASSERT_EQ(txs.size(), 4u);
+  std::uint32_t offset = 0;
+  for (std::size_t i = 0; i < 3; ++i) {
+    const Bytes& chunk = chunks[i];
+    EXPECT_EQ(txs[i].label, "timeout:chunk");
+    EXPECT_EQ(txs[i].instructions[0].data, ix::chunk_upload(77, offset, chunk).data);
+    offset += static_cast<std::uint32_t>(chunk.size());
+  }
+  EXPECT_EQ(txs[3].label, "timeout");
+  EXPECT_EQ(txs[3].instructions[0].data, ix::timeout_packet(77).data);
+  for (const auto& tx : txs) {
+    EXPECT_EQ(tx.payer, payer);
+    EXPECT_EQ(tx.fee.kind, fee.kind);
+    EXPECT_EQ(tx.fee.cu_price_microlamports, fee.cu_price_microlamports);
+    ASSERT_EQ(tx.instructions.size(), 1u);
+    EXPECT_TRUE(tx.sig_verifies.empty());
+    EXPECT_LE(tx.wire_size(), host::kMaxTransactionSize);
+  }
+}
+
+TEST(StagedCall, ChunkLabelOverrideAndHostLimit) {
+  const Bytes blob(3000, 0x11);
+  const auto txs =
+      ix::staged_call(crypto::PublicKey{}, host::FeePolicy::base(), 1, blob,
+                      ix::submit_evidence, "fisherman:evidence", 64 * 1024, "fisherman:chunk");
+  // A roomier host takes the whole blob in one chunk.
+  ASSERT_EQ(txs.size(), 2u);
+  EXPECT_EQ(txs[0].label, "fisherman:chunk");
+  EXPECT_EQ(txs[1].label, "fisherman:evidence");
+  // An empty payload still stages (one empty chunk) before the call.
+  EXPECT_EQ(ix::staged_call(crypto::PublicKey{}, host::FeePolicy::base(), 1, {},
+                            ix::handshake, "handshake", host::kMaxTransactionSize)
+                .size(),
+            2u);
 }
 
 }  // namespace

@@ -60,14 +60,10 @@ TEST_F(MaliciousRelayer, ForgedPacketRejectedByGuest) {
   // A proof of some *other* key cannot satisfy the forged commitment.
   const auto wrong_key = ibc::channel_key("transfer", d_.cp_channel());
   const trie::Proof proof = d_.cp().prove_at(h, wrong_key);
-  Encoder payload;
-  payload.bytes(forged.encode()).u64(h).bytes(proof.serialize());
-
-  std::uint64_t buffer_id = 0;
-  auto txs = d_.relayer().chunked_call(payload.out(), guest::ix::receive_packet(0),
-                                       &buffer_id, "evil-recv");
-  txs.back().instructions[0] = guest::ix::receive_packet(buffer_id);
-  for (auto& tx : txs) tx.payer = evil_;
+  auto txs = guest::ix::staged_call(evil_, host::FeePolicy::base(), 1,
+                                    guest::ix::PacketProof::encode(forged, h, proof),
+                                    guest::ix::receive_packet, "evil-recv",
+                                    d_.host().max_tx_size());
 
   bool done = false, ok = true;
   std::string error;
@@ -94,14 +90,10 @@ TEST_F(MaliciousRelayer, ForgedHeaderRejectedByUpdateMachinery) {
   forged.state_root.bytes[0] = 0xEE;  // attacker-chosen state
   forged.validator_set_hash = d_.cp().validators().hash();
 
-  Encoder payload;
-  payload.bytes(forged.encode());
-  payload.boolean(false);
-
-  std::uint64_t buffer_id = 0;
-  auto txs = d_.relayer().chunked_call(payload.out(), guest::ix::begin_client_update(0),
-                                       &buffer_id, "evil-update");
-  txs.back().instructions[0] = guest::ix::begin_client_update(buffer_id);
+  auto txs = guest::ix::staged_call(evil_, host::FeePolicy::base(), 1,
+                                    guest::ix::ClientUpdate::encode(forged, std::nullopt),
+                                    guest::ix::begin_client_update, "evil-update",
+                                    d_.host().max_tx_size());
   // The attacker signs with its own key — not in the validator set.
   const crypto::PrivateKey evil_key = crypto::PrivateKey::from_label("evil-relayer");
   const Hash32 digest = forged.signing_digest();
@@ -116,7 +108,6 @@ TEST_F(MaliciousRelayer, ForgedHeaderRejectedByUpdateMachinery) {
   fin.payer = evil_;
   fin.instructions.push_back(guest::ix::finish_client_update());
   txs.push_back(std::move(fin));
-  for (auto& tx : txs) tx.payer = evil_;
 
   bool done = false, ok = true;
   d_.relayer().submit_sequence(std::move(txs),

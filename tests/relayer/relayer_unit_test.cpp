@@ -3,6 +3,8 @@
 // batching/dedup and the crank agent.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "relayer/deployment.hpp"
 
 namespace bmg::relayer {
@@ -82,15 +84,76 @@ TEST_F(RelayerUnit, SubmitSequenceAbortsOnFailure) {
 
 TEST_F(RelayerUnit, ChunkedCallSplitsLargePayloads) {
   const Bytes payload(3000, 0xAB);
-  std::uint64_t buffer_id = 0;
-  auto txs = d_.relayer().chunked_call(payload, guest::ix::receive_packet(0),
-                                       &buffer_id, "test");
+  const std::uint64_t buffer_id = d_.relayer().claim_buffer_id();
   EXPECT_GT(buffer_id, 0u);
+  EXPECT_EQ(d_.relayer().claim_buffer_id(), buffer_id + 1);
+  const auto txs = guest::ix::staged_call(d_.relayer().payer(), host::FeePolicy::base(),
+                                          buffer_id, payload, guest::ix::receive_packet,
+                                          "test", d_.host().max_tx_size());
   const std::size_t chunks =
       (payload.size() + guest::ix::max_chunk_bytes() - 1) / guest::ix::max_chunk_bytes();
   EXPECT_GT(chunks, 1u);
   EXPECT_EQ(txs.size(), chunks + 1);  // chunk uploads + final call
   for (const auto& tx : txs) EXPECT_LE(tx.wire_size(), host::kMaxTransactionSize);
+  EXPECT_EQ(txs.back().instructions[0].data, guest::ix::receive_packet(buffer_id).data);
+}
+
+TEST_F(RelayerUnit, UpdateResumeCarriesOnlyUnseenSignersInHeaderOrder) {
+  d_.run_for(10.0);
+  const auto& sh = d_.cp().header_at(1);
+  const auto per_tx = static_cast<std::size_t>(RelayerConfig{}.sigs_per_update_tx);
+  ASSERT_GT(sh.signatures.size(), per_tx + 1);
+  const auto sig_txs = [](std::vector<host::Transaction> txs) {
+    EXPECT_EQ(txs.back().label, "lc-update:finish");
+    txs.pop_back();
+    return txs;
+  };
+  const auto fresh = d_.relayer().build_update_sequence(sh);
+
+  for (const std::size_t k : {std::size_t{0}, std::size_t{1}, per_tx + 1}) {
+    guest::GuestContract::PendingUpdateInfo pending;
+    pending.height = sh.header.height;
+    for (std::size_t i = 0; i < k; ++i) pending.seen.push_back(sh.signatures[i].first);
+    std::sort(pending.seen.begin(), pending.seen.end());
+    const auto resume = sig_txs(d_.relayer().build_update_resume_sequence(sh, pending));
+
+    std::vector<crypto::PublicKey> carried;
+    for (std::size_t t = 0; t < resume.size(); ++t) {
+      EXPECT_EQ(resume[t].label, "lc-update:sigs");
+      EXPECT_EQ(resume[t].instructions[0].data,
+                guest::ix::verify_update_signatures().data);
+      const std::size_t left = sh.signatures.size() - k - carried.size();
+      EXPECT_EQ(resume[t].sig_verifies.size(), std::min(per_tx, left));
+      for (const host::SigVerify& sv : resume[t].sig_verifies) {
+        EXPECT_EQ(sv.message, sh.signing_digest());
+        carried.push_back(sv.pubkey);
+      }
+    }
+    ASSERT_EQ(carried.size(), sh.signatures.size() - k);
+    for (std::size_t i = 0; i < carried.size(); ++i)
+      EXPECT_EQ(carried[i], sh.signatures[k + i].first);
+
+    if (k == 0) {
+      // Nothing seen: the resume is exactly a fresh update's tail.
+      const std::vector<host::Transaction> fresh_sigs(fresh.end() - 1 - resume.size(),
+                                                      fresh.end() - 1);
+      ASSERT_EQ(fresh_sigs.size(), resume.size());
+      for (std::size_t t = 0; t < resume.size(); ++t) {
+        const host::Transaction& a = resume[t];
+        const host::Transaction& b = fresh_sigs[t];
+        EXPECT_EQ(a.payer, b.payer);
+        EXPECT_EQ(a.fee.kind, b.fee.kind);
+        EXPECT_EQ(a.label, b.label);
+        EXPECT_EQ(a.instructions[0].data, b.instructions[0].data);
+        ASSERT_EQ(a.sig_verifies.size(), b.sig_verifies.size());
+        for (std::size_t j = 0; j < a.sig_verifies.size(); ++j) {
+          EXPECT_EQ(a.sig_verifies[j].pubkey, b.sig_verifies[j].pubkey);
+          EXPECT_EQ(a.sig_verifies[j].message, b.sig_verifies[j].message);
+          EXPECT_EQ(a.sig_verifies[j].signature, b.sig_verifies[j].signature);
+        }
+      }
+    }
+  }
 }
 
 TEST_F(RelayerUnit, BuildUpdateSequenceBatchesSignatures) {
