@@ -6,6 +6,8 @@
 //
 // Each Δ point is one shard-pool cell (its own deployment); rows print
 // in sweep order, byte-identical at any --shard-workers.
+//
+//   ablation_delta [--days D] [--seed N] [--shard-workers W] [--timing-csv PATH]
 #include "bench_common.hpp"
 #include "grid.hpp"
 
@@ -47,7 +49,11 @@ bench::CellOutput run_delta(double delta, const bench::Args& args) {
 
 int main(int argc, char** argv) {
   using namespace bmg;
-  const bench::Args args = bench::Args::parse(argc, argv, /*default_days=*/2.0);
+  bench::Args args{.days = 2.0};
+  bench::parse_flags(argc, argv,
+                     {bench::positive("--days", args.days),
+                      bench::integer("--seed", args.seed, 0),
+                      bench::shard_workers(), bench::text("--timing-csv", args.timing_csv)});
   bench::print_header("Ablation: Delta sweep (empty-block rate vs timestamp freshness)",
                       args);
 

@@ -8,6 +8,8 @@
 // Each (congestion, policy) pair is one shard-pool cell; rows print in
 // sweep order (congestion-major), byte-identical at any
 // --shard-workers.
+//
+//   ablation_fees [--seed N] [--shard-workers W] [--timing-csv PATH]
 #include "bench_common.hpp"
 #include "grid.hpp"
 
@@ -119,7 +121,10 @@ bench::CellOutput run_cell(std::size_t cell, std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Args args = bench::Args::parse(argc, argv, 0.0);
+  bench::Args args;
+  bench::parse_flags(argc, argv,
+                     {bench::integer("--seed", args.seed, 0),
+                      bench::shard_workers(), bench::text("--timing-csv", args.timing_csv)});
   bench::print_header("Ablation: fee policies across congestion levels (§VI-B)", args);
 
   std::printf("%-12s %-18s %10s %10s %10s %8s %10s\n", "congestion", "policy",

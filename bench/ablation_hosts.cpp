@@ -14,6 +14,8 @@
 //
 // Each host profile is one shard-pool cell; rows print in profile
 // order, byte-identical at any --shard-workers.
+//
+//   ablation_hosts [--days D] [--seed N] [--shard-workers W] [--timing-csv PATH]
 #include "bench_common.hpp"
 #include "grid.hpp"
 
@@ -58,7 +60,11 @@ bench::CellOutput run_profile(const HostProfile& hp, const bench::Args& args) {
 
 int main(int argc, char** argv) {
   using namespace bmg;
-  const bench::Args args = bench::Args::parse(argc, argv, /*default_days=*/0.3);
+  bench::Args args{.days = 0.3};
+  bench::parse_flags(argc, argv,
+                     {bench::positive("--days", args.days),
+                      bench::integer("--seed", args.seed, 0),
+                      bench::shard_workers(), bench::text("--timing-csv", args.timing_csv)});
   bench::print_header("Ablation: guest blockchain across host profiles (§VI-D)", args);
 
   host::ChainConfig solana;  // defaults

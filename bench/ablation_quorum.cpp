@@ -6,6 +6,8 @@
 //
 // Each roster case (and the incident replay) is one shard-pool cell;
 // output prints in case order, byte-identical at any --shard-workers.
+//
+//   ablation_quorum [--days D] [--seed N] [--shard-workers W] [--timing-csv PATH]
 #include "bench_common.hpp"
 #include "grid.hpp"
 
@@ -97,7 +99,11 @@ bench::CellOutput run_incident(const bench::Args& args) {
 
 int main(int argc, char** argv) {
   using namespace bmg;
-  const bench::Args args = bench::Args::parse(argc, argv, /*default_days=*/0.5);
+  bench::Args args{.days = 0.5};
+  bench::parse_flags(argc, argv,
+                     {bench::positive("--days", args.days),
+                      bench::integer("--seed", args.seed, 0),
+                      bench::shard_workers(), bench::text("--timing-csv", args.timing_csv)});
   bench::print_header(
       "Ablation: quorum margin — finalisation latency vs roster composition", args);
 

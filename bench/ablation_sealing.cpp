@@ -3,40 +3,23 @@
 // design choice of §III-A; without sealing the Guest Contract's state
 // grows without bound and the 10 MiB account eventually fills.
 //
-// Flags (strictly validated; bad input exits 2):
+//   ablation_sealing [--packets N] [--window N]
+//
 //   --packets N   packets to process (default 100000)
 //   --window N    in-flight window kept unsealed (default 32)
 #include <cstdio>
-#include <cstring>
 
 #include "bench_common.hpp"
 #include "ibc/commitment.hpp"
-#include "parse.hpp"
 #include "trie/trie.hpp"
 
 int main(int argc, char** argv) {
   using namespace bmg;
-  const char* prog = argv[0];
   std::size_t packets = 100'000;
   std::size_t window = 32;
-  for (int i = 1; i < argc; ++i) {
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: %s needs a value\n", prog, argv[i]);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--packets") == 0)
-      packets = static_cast<std::size_t>(
-          bench::parse_positive_long(prog, "--packets", next()));
-    else if (std::strcmp(argv[i], "--window") == 0)
-      window =
-          static_cast<std::size_t>(bench::parse_positive_long(prog, "--window", next()));
-  }
-  const bench::Args args =
-      bench::Args::parse(argc, argv, 0.0, {"--packets", "--window"});
-  bench::print_header("Ablation: sealable trie vs plain trie growth", args);
+  bench::parse_flags(argc, argv, {bench::integer("--packets", packets),
+                                  bench::integer("--window", window)});
+  bench::print_header("Ablation: sealable trie vs plain trie growth", bench::Args{});
 
   trie::SealableTrie sealed, plain;
   Hash32 value;

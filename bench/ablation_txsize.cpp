@@ -11,6 +11,8 @@
 // Each sweep point is one shard-pool cell; rows print in sweep order
 // (a skipped point contributes an empty slice), byte-identical at any
 // --shard-workers.
+//
+//   ablation_txsize [--days D] [--seed N] [--shard-workers W] [--timing-csv PATH]
 #include "bench_common.hpp"
 #include "grid.hpp"
 
@@ -47,7 +49,11 @@ bench::CellOutput run_point(int sigs_per_tx, const bench::Args& args) {
 
 int main(int argc, char** argv) {
   using namespace bmg;
-  const bench::Args args = bench::Args::parse(argc, argv, /*default_days=*/0.5);
+  bench::Args args{.days = 0.5};
+  bench::parse_flags(argc, argv,
+                     {bench::positive("--days", args.days),
+                      bench::integer("--seed", args.seed, 0),
+                      bench::shard_workers(), bench::text("--timing-csv", args.timing_csv)});
   bench::print_header(
       "Ablation: pre-compile capacity per tx vs light client update shape", args);
 

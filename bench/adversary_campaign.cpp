@@ -26,7 +26,6 @@
 //                      hardware)
 //   --timing-csv PATH  per-cell wall/CPU timing rows (see grid.hpp)
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -161,14 +160,13 @@ bench::CellOutput run_cell(std::size_t cell, const CampaignCell& cc) {
       "%.4f,%.4f,%s\n",
       cell, cc.scenario.c_str(), static_cast<unsigned long long>(cc.seed),
       recs->size(), delivered, acked,
-      recv_latency.count() > 0 ? recv_latency.mean() : 0.0,
-      recv_latency.count() > 0 ? recv_latency.quantile(0.99) : 0.0,
+      bench::mean_or_zero(recv_latency), bench::quantile_or_zero(recv_latency, 0.99),
       ctr.csv_row().c_str(), campaign.offenders().size(), campaign.offenders_banned(),
       static_cast<unsigned long long>(eco.slashed_count),
       static_cast<unsigned long long>(eco.stake_slashed),
       static_cast<unsigned long long>(eco.reporter_reward),
       static_cast<unsigned long long>(eco.stake_burned), det.count(),
-      det.count() > 0 ? det.mean() : 0.0, det.count() > 0 ? det.max() : 0.0,
+      bench::mean_or_zero(det), bench::quantile_or_zero(det, 1.0),
       campaign.attacker_fees_usd(), campaign.fisherman_fees_usd(),
       d.guest().store().root_hash().hex().c_str());
 
@@ -192,26 +190,9 @@ int main(int argc, char** argv) {
   int seeds = 2;
   const char* only = nullptr;
   const char* timing_csv = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--seeds") == 0 && i + 1 < argc) {
-      seeds = static_cast<int>(
-          bench::parse_positive_long("adversary_campaign", "--seeds", argv[++i]));
-    } else if (std::strcmp(argv[i], "--scenario") == 0 && i + 1 < argc) {
-      only = argv[++i];
-    } else if (std::strcmp(argv[i], "--shard-workers") == 0 && i + 1 < argc) {
-      shard::set_worker_count(static_cast<std::size_t>(bench::parse_positive_long(
-          "adversary_campaign", "--shard-workers", argv[++i])));
-    } else if (std::strcmp(argv[i], "--timing-csv") == 0 && i + 1 < argc) {
-      timing_csv = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "adversary_campaign: unknown or incomplete option '%s'\n"
-                   "usage: adversary_campaign [--seeds N] [--scenario NAME] "
-                   "[--shard-workers W] [--timing-csv PATH]\n",
-                   argv[i]);
-      return 2;
-    }
-  }
+  bench::parse_flags(argc, argv,
+                     {bench::integer("--seeds", seeds), bench::text("--scenario", only),
+                      bench::shard_workers(), bench::text("--timing-csv", timing_csv)});
 
   // Static grid: shipped scenarios × seeds, fixed order.  Window times
   // passed here are placeholders — each cell rebuilds the table against

@@ -10,7 +10,7 @@
 // harness says so and exits 0 so it is safe to run anywhere.
 //
 //   alloc_relay_loop [--days D] [--seed N] [--budget FILE]
-//                    [--shards N] [--shard-workers W]
+//                    [--shards N] [--shard-workers W] [--timing-csv PATH]
 //
 // With --shards N (PR 7), N independent relay loops run as shard-pool
 // cells, each seeded from stream_seed(seed, cell).  Per-cell counts
@@ -110,9 +110,8 @@ CellMeasure run_loop(std::uint64_t seed, std::optional<std::uint64_t> stream,
   return m;
 }
 
-int run_sharded(long shards, std::uint64_t seed, double days,
+int run_sharded(std::size_t n, std::uint64_t seed, double days,
                 const char* budget_path, const char* timing_csv) {
-  const auto n = static_cast<std::size_t>(shards);
   std::fprintf(stderr, "alloc_relay_loop: %zu shards, %zu shard workers\n", n,
                shard::worker_count());
   std::vector<CellMeasure> cells(n);
@@ -176,30 +175,14 @@ int run_sharded(long shards, std::uint64_t seed, double days,
 int main(int argc, char** argv) {
   double days = 0.10;
   std::uint64_t seed = 42;
-  long shards = 0;
+  std::size_t shards = 0;
   const char* budget_path = nullptr;
   const char* timing_csv = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--days") == 0 && i + 1 < argc) {
-      days = bench::parse_positive_double("alloc_relay_loop", "--days", argv[++i]);
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = bench::parse_uint64("alloc_relay_loop", "--seed", argv[++i]);
-    } else if (std::strcmp(argv[i], "--budget") == 0 && i + 1 < argc) {
-      budget_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      shards = bench::parse_positive_long("alloc_relay_loop", "--shards", argv[++i]);
-    } else if (std::strcmp(argv[i], "--shard-workers") == 0 && i + 1 < argc) {
-      shard::set_worker_count(static_cast<std::size_t>(bench::parse_positive_long(
-          "alloc_relay_loop", "--shard-workers", argv[++i])));
-    } else if (std::strcmp(argv[i], "--timing-csv") == 0 && i + 1 < argc) {
-      timing_csv = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: alloc_relay_loop [--days D] [--seed N] [--budget FILE] "
-                   "[--shards N] [--shard-workers W] [--timing-csv PATH]\n");
-      return 2;
-    }
-  }
+  bench::parse_flags(argc, argv,
+                     {bench::positive("--days", days), bench::integer("--seed", seed, 0),
+                      bench::text("--budget", budget_path),
+                      bench::integer("--shards", shards), bench::shard_workers(),
+                      bench::text("--timing-csv", timing_csv)});
 
   if (shards > 0) return run_sharded(shards, seed, days, budget_path, timing_csv);
 

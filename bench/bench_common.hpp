@@ -6,80 +6,37 @@
 #pragma once
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <initializer_list>
 #include <memory>
 #include <string>
 
-#include "common/shard_pool.hpp"
+#include "common/stats.hpp"
 #include "parse.hpp"
 #include "relayer/deployment.hpp"
 
 namespace bmg::bench {
 
-/// Command-line knobs shared by the harnesses:
-///   --days N           simulated days (default varies per bench)
+/// Values of the flags several drivers share.  Each driver binds only
+/// the ones it reads (parse_flags in parse.hpp):
+///   --days D           simulated days (default varies per bench)
 ///   --seed N           RNG seed (default 42)
-///   --shard-workers W  shard-pool workers for grid-capable drivers
-///                      (default: BMG_SHARD_WORKERS or hardware)
-///   --grid-seeds N     figure drivers: run an N-seed grid instead of
-///                      the single classic run (0 = classic mode)
+///   --grid-seeds N     seeds in a grid (fig2/fig6: 0 = the single
+///                      classic run)
 ///   --timing-csv PATH  write per-cell wall/CPU timing rows to PATH
 ///                      (timing is never part of the stdout artifact)
 struct Args {
   double days = 0;
   std::uint64_t seed = 42;
-  long grid_seeds = 0;
+  int grid_seeds = 0;
   const char* timing_csv = nullptr;
-
-  /// Strict parsing: malformed values and unknown flags exit 2 instead
-  /// of silently running a corrupted configuration.  Drivers with their
-  /// own flag loops list those flags in `extra_value_flags` (each takes
-  /// exactly one value, which is skipped here).
-  static Args parse(int argc, char** argv, double default_days,
-                    std::initializer_list<const char*> extra_value_flags = {}) {
-    Args a;
-    a.days = default_days;
-    const char* prog = argc > 0 ? argv[0] : "bench";
-    for (int i = 1; i < argc; ++i) {
-      const auto value = [&]() -> const char* {
-        if (i + 1 >= argc) {
-          std::fprintf(stderr, "%s: %s needs a value\n", prog, argv[i]);
-          std::exit(2);
-        }
-        return argv[++i];
-      };
-      if (std::strcmp(argv[i], "--days") == 0)
-        a.days = parse_positive_double(prog, "--days", value());
-      else if (std::strcmp(argv[i], "--seed") == 0)
-        a.seed = static_cast<std::uint64_t>(parse_uint64(prog, "--seed", value()));
-      else if (std::strcmp(argv[i], "--shard-workers") == 0)
-        shard::set_worker_count(static_cast<std::size_t>(
-            parse_positive_long(prog, "--shard-workers", value())));
-      else if (std::strcmp(argv[i], "--grid-seeds") == 0)
-        a.grid_seeds =
-            static_cast<long>(parse_uint64(prog, "--grid-seeds", value()));
-      else if (std::strcmp(argv[i], "--timing-csv") == 0)
-        a.timing_csv = value();
-      else {
-        bool extra = false;
-        for (const char* f : extra_value_flags)
-          if (std::strcmp(argv[i], f) == 0) {
-            extra = true;
-            break;
-          }
-        if (extra) {
-          (void)value();  // the driver's own loop validated it
-          continue;
-        }
-        std::fprintf(stderr, "%s: unknown flag '%s'\n", prog, argv[i]);
-        std::exit(2);
-      }
-    }
-    return a;
-  }
 };
+
+/// `s.mean()`, or 0 when a short horizon recorded no samples.
+inline double mean_or_zero(const Series& s) { return s.empty() ? 0.0 : s.mean(); }
+
+/// `s.quantile(q)` (q = 1 is the max), or 0 for an empty series.
+inline double quantile_or_zero(const Series& s, double q) {
+  return s.empty() ? 0.0 : s.quantile(q);
+}
 
 /// The paper's deployment configuration (§IV-§V): 24 validators with
 /// Table I profiles, Δ = 1 h, 12-hour epochs (disabled by default for

@@ -7,11 +7,15 @@
 // driven by the counterparty's commit: ~100+ signatures that must be
 // pre-compile-verified a few at a time within the 1232-byte and
 // 1.4M-CU transaction limits.
+//
+//   fig4_lc_update_latency [--days D] [--seed N]
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
   using namespace bmg;
-  const bench::Args args = bench::Args::parse(argc, argv, /*default_days=*/2.0);
+  bench::Args args{.days = 2.0};
+  bench::parse_flags(argc, argv, {bench::positive("--days", args.days),
+                                  bench::integer("--seed", args.seed, 0)});
   bench::print_header("Fig. 4: light client update latency (relayer -> guest)", args);
 
   relayer::Deployment d(bench::paper_config(args.seed));

@@ -7,11 +7,15 @@
 // comes from the amount of data and the number of signatures checked.
 // ReceivePacket calls took 4-5 transactions costing 0.4 cents in
 // 98.2% of cases and 0.5 cents otherwise.
+//
+//   fig5_lc_update_cost [--days D] [--seed N]
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
   using namespace bmg;
-  const bench::Args args = bench::Args::parse(argc, argv, /*default_days=*/2.0);
+  bench::Args args{.days = 2.0};
+  bench::parse_flags(argc, argv, {bench::positive("--days", args.days),
+                                  bench::integer("--seed", args.seed, 0)});
   bench::print_header("Fig. 5: light client update cost (relayer)", args);
 
   relayer::Deployment d(bench::paper_config(args.seed));

@@ -19,7 +19,6 @@
 //     the stdout artifact, which is what the determinism CI diffs.
 #pragma once
 
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -34,6 +33,15 @@
 #include "parse.hpp"
 
 namespace bmg::bench {
+
+/// --shard-workers W: the shard pool's worker count (default:
+/// BMG_SHARD_WORKERS or hardware).
+inline Flag shard_workers() {
+  return {"--shard-workers", [](const char* prog, const char* value) {
+            shard::set_worker_count(
+                parse_integer<std::size_t>(prog, "--shard-workers", value));
+          }};
+}
 
 /// What one grid cell hands back across the pool boundary.  `table` is
 /// the cell's slice of the stdout artifact (CSV rows or table lines,
@@ -101,8 +109,5 @@ inline void write_timing(const GridResult& g, const char* path, const char* prog
   write_timing_csv(f, g);
   std::fclose(f);
 }
-
-// Strict CLI parsing (parse_positive_long / parse_positive_double)
-// lives in parse.hpp so bmg_trie-only drivers can use it too.
 
 }  // namespace bmg::bench

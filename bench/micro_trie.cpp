@@ -271,11 +271,11 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (std::strcmp(argv[i], "--page-bytes") == 0)
-      g_page_bytes = static_cast<std::size_t>(
-          bmg::bench::parse_positive_long(argv[0], "--page-bytes", next()));
+      g_page_bytes =
+          bmg::bench::parse_integer<std::size_t>(argv[0], "--page-bytes", next());
     else if (std::strcmp(argv[i], "--resident-pages") == 0)
-      g_resident_pages = static_cast<std::size_t>(
-          bmg::bench::parse_positive_long(argv[0], "--resident-pages", next()));
+      g_resident_pages =
+          bmg::bench::parse_integer<std::size_t>(argv[0], "--resident-pages", next());
     else
       rest.push_back(argv[i]);
   }

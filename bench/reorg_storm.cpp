@@ -17,8 +17,10 @@
 // byte-identical at every --shard-workers count.  The invariant
 // auditor runs in every cell and a violation fails the binary.
 //
-//   reorg_storm [--seeds N] [--days D] [--seed S] [--shard-workers W]
+//   reorg_storm [--grid-seeds N] [--days D] [--seed S] [--shard-workers W]
 //               [--timing-csv PATH]
+//
+//   --grid-seeds N  seeds S..S+N-1 (default 2)
 #include <cstdio>
 #include <string>
 
@@ -98,9 +100,8 @@ bench::CellOutput run_cell(std::size_t index, const Cell& c, double days) {
       index, static_cast<unsigned long long>(c.seed),
       kModeNames[static_cast<int>(c.mode)], d.guest().block_count(),
       load.records().size(), executed, finalised, rooted, lost,
-      fin_latency.count() > 0 ? fin_latency.mean() : 0.0,
-      rooted_latency.count() > 0 ? rooted_latency.mean() : 0.0,
-      fees.count() > 0 ? fees.mean() : 0.0,
+      bench::mean_or_zero(fin_latency), bench::mean_or_zero(rooted_latency),
+      bench::mean_or_zero(fees),
       static_cast<unsigned long long>(fc.reorgs_triggered),
       static_cast<unsigned long long>(fc.slots_rolled_back),
       static_cast<unsigned long long>(fc.txs_replayed),
@@ -116,11 +117,15 @@ bench::CellOutput run_cell(std::size_t index, const Cell& c, double days) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Args args = bench::Args::parse(argc, argv, /*default_days=*/0.02);
-  long seeds = args.grid_seeds > 0 ? args.grid_seeds : 2;
+  bench::Args args{.days = 0.02, .grid_seeds = 2};
+  bench::parse_flags(argc, argv,
+                     {bench::integer("--grid-seeds", args.grid_seeds),
+                      bench::positive("--days", args.days),
+                      bench::integer("--seed", args.seed, 0), bench::shard_workers(),
+                      bench::text("--timing-csv", args.timing_csv)});
 
   std::vector<Cell> grid;
-  for (long s = 0; s < seeds; ++s)
+  for (int s = 0; s < args.grid_seeds; ++s)
     for (const Mode mode : {Mode::kBaseline, Mode::kOptimistic, Mode::kRooted})
       grid.push_back(Cell{args.seed + static_cast<std::uint64_t>(s), mode});
 

@@ -141,7 +141,7 @@ bench::CellOutput run_scenario(std::size_t cell, const Scenario& sc, double days
   std::snprintf(buf, sizeof(buf), "%zu,%llu,%.0f,%zu,%zu,%d,%d,%.3f,%s", cell,
                 static_cast<unsigned long long>(sc.seed), sc.delta_seconds,
                 d.guest().block_count(), guest_load.records().size(), finalised,
-                cp_load.sent(), latency.count() > 0 ? latency.mean() : 0.0,
+                cp_load.sent(), bench::mean_or_zero(latency),
                 d.guest().store().root_hash().hex().c_str());
   std::string row = buf;
   if (campaign.has_value()) {
@@ -153,7 +153,7 @@ bench::CellOutput run_scenario(std::size_t cell, const Scenario& sc, double days
   if (fork_overlay) {
     const host::FaultCounters& fc = d.host().fault_counters();
     std::snprintf(buf, sizeof(buf), ",%.3f,%llu,%llu,%llu,%llu,%llu",
-                  rooted_latency.count() > 0 ? rooted_latency.mean() : 0.0,
+                  bench::mean_or_zero(rooted_latency),
                   static_cast<unsigned long long>(fc.reorgs_triggered),
                   static_cast<unsigned long long>(fc.slots_rolled_back),
                   static_cast<unsigned long long>(fc.txs_replayed),
@@ -177,42 +177,13 @@ int main(int argc, char** argv) {
   const char* adversary = nullptr;
   const char* reorg_name = nullptr;
   bool rooted_commitment = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--seeds") == 0 && i + 1 < argc) {
-      seeds = static_cast<int>(
-          bench::parse_positive_long("scenario_runner", "--seeds", argv[++i]));
-    } else if (std::strcmp(argv[i], "--days") == 0 && i + 1 < argc) {
-      days = bench::parse_positive_double("scenario_runner", "--days", argv[++i]);
-    } else if (std::strcmp(argv[i], "--shard-workers") == 0 && i + 1 < argc) {
-      shard::set_worker_count(static_cast<std::size_t>(
-          bench::parse_positive_long("scenario_runner", "--shard-workers", argv[++i])));
-    } else if (std::strcmp(argv[i], "--timing-csv") == 0 && i + 1 < argc) {
-      timing_csv = argv[++i];
-    } else if (std::strcmp(argv[i], "--adversary") == 0 && i + 1 < argc) {
-      adversary = argv[++i];
-    } else if (std::strcmp(argv[i], "--reorg") == 0 && i + 1 < argc) {
-      reorg_name = argv[++i];
-    } else if (std::strcmp(argv[i], "--commitment") == 0 && i + 1 < argc) {
-      const char* level = argv[++i];
-      if (std::strcmp(level, "rooted") == 0) {
-        rooted_commitment = true;
-      } else if (std::strcmp(level, "processed") != 0) {
-        std::fprintf(stderr,
-                     "scenario_runner: --commitment expects processed|rooted, "
-                     "got '%s'\n",
-                     level);
-        return 2;
-      }
-    } else {
-      std::fprintf(stderr,
-                   "scenario_runner: unknown or incomplete option '%s'\n"
-                   "usage: scenario_runner [--seeds N] [--days D] [--shard-workers W] "
-                   "[--timing-csv PATH] [--adversary NAME] [--reorg NAME] "
-                   "[--commitment processed|rooted]\n",
-                   argv[i]);
-      return 2;
-    }
-  }
+  bench::parse_flags(argc, argv,
+                     {bench::integer("--seeds", seeds), bench::positive("--days", days),
+                      bench::shard_workers(), bench::text("--timing-csv", timing_csv),
+                      bench::text("--adversary", adversary),
+                      bench::text("--reorg", reorg_name),
+                      bench::choice("--commitment", rooted_commitment,
+                                    {{"processed", false}, {"rooted", true}})});
   const ReorgSpec* reorg = nullptr;
   if (reorg_name != nullptr) {
     reorg = find_reorg(reorg_name);

@@ -8,7 +8,10 @@
 // as *reclaimed pages*, not just smaller byte counters.  Scale with
 // --page-entries (EXPERIMENTS.md documents the 10^8-entry recipe).
 //
-// Flags (all strictly validated; bad input exits 2):
+//   storage_costs [--churn-packets N] [--window N] [--cadence-writes N]
+//                 [--per-block N] [--page-entries N] [--page-bytes N]
+//                 [--resident-pages N] [--page-backend mem|file]
+//
 //   --churn-packets N   packets in the sealing-churn section (default 200000)
 //   --window N          in-flight window for the churn section (default 64)
 //   --cadence-writes N  writes in the commit-cadence section (default 50000)
@@ -19,12 +22,10 @@
 //   --page-backend S    mem | file (default file)
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "bench_common.hpp"
 #include "ibc/commitment.hpp"
-#include "parse.hpp"
 #include "trie/trie.hpp"
 
 namespace {
@@ -69,7 +70,6 @@ double run_seal_rate_cell(trie::SealableTrie& t, std::size_t entries,
 
 int main(int argc, char** argv) {
   using namespace bmg;
-  const char* prog = argv[0];
   std::size_t churn_packets = 200'000;
   std::size_t window = 64;
   std::size_t cadence_writes = 50'000;
@@ -77,55 +77,18 @@ int main(int argc, char** argv) {
   std::size_t page_entries = 1'000'000;
   trie::PageStoreConfig page_cfg;
   page_cfg.backend = trie::PageStoreConfig::Backend::kFile;
-  for (int i = 1; i < argc; ++i) {
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: %s needs a value\n", prog, argv[i]);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--churn-packets") == 0)
-      churn_packets = static_cast<std::size_t>(
-          bench::parse_positive_long(prog, "--churn-packets", next()));
-    else if (std::strcmp(argv[i], "--window") == 0)
-      window =
-          static_cast<std::size_t>(bench::parse_positive_long(prog, "--window", next()));
-    else if (std::strcmp(argv[i], "--cadence-writes") == 0)
-      cadence_writes = static_cast<std::size_t>(
-          bench::parse_positive_long(prog, "--cadence-writes", next()));
-    else if (std::strcmp(argv[i], "--per-block") == 0)
-      per_block = static_cast<std::size_t>(
-          bench::parse_positive_long(prog, "--per-block", next()));
-    else if (std::strcmp(argv[i], "--page-entries") == 0)
-      page_entries = static_cast<std::size_t>(
-          bench::parse_positive_long(prog, "--page-entries", next()));
-    else if (std::strcmp(argv[i], "--page-bytes") == 0)
-      page_cfg.page_bytes = static_cast<std::size_t>(
-          bench::parse_positive_long(prog, "--page-bytes", next()));
-    else if (std::strcmp(argv[i], "--resident-pages") == 0)
-      page_cfg.max_resident_pages = static_cast<std::size_t>(
-          bench::parse_positive_long(prog, "--resident-pages", next()));
-    else if (std::strcmp(argv[i], "--page-backend") == 0) {
-      const char* b = next();
-      if (std::strcmp(b, "mem") == 0)
-        page_cfg.backend = trie::PageStoreConfig::Backend::kMemory;
-      else if (std::strcmp(b, "file") == 0)
-        page_cfg.backend = trie::PageStoreConfig::Backend::kFile;
-      else {
-        std::fprintf(stderr, "%s: --page-backend expects mem|file, got '%s'\n", prog,
-                     b);
-        return 2;
-      }
-    }
-    // Remaining flags (--seed, --days, ...) belong to bench::Args below.
-  }
-
-  const bench::Args args = bench::Args::parse(
-      argc, argv, 0.0,
-      {"--churn-packets", "--window", "--cadence-writes", "--per-block",
-       "--page-entries", "--page-bytes", "--resident-pages", "--page-backend"});
-  bench::print_header("Section V-D: storage costs", args);
+  bench::parse_flags(
+      argc, argv,
+      {bench::integer("--churn-packets", churn_packets), bench::integer("--window", window),
+       bench::integer("--cadence-writes", cadence_writes),
+       bench::integer("--per-block", per_block),
+       bench::integer("--page-entries", page_entries),
+       bench::integer("--page-bytes", page_cfg.page_bytes),
+       bench::integer("--resident-pages", page_cfg.max_resident_pages),
+       bench::choice("--page-backend", page_cfg.backend,
+                     {{"mem", trie::PageStoreConfig::Backend::kMemory},
+                      {"file", trie::PageStoreConfig::Backend::kFile}})});
+  bench::print_header("Section V-D: storage costs", bench::Args{});
 
   // Rent for the largest possible account.
   const std::uint64_t deposit = host::kRentLamportsPerByte * host::kMaxAccountSize;

@@ -6,11 +6,15 @@
 // signatures; costs and latency are essentially uncorrelated
 // (coefficient 0.007), i.e. validators paying high priority fees were
 // overpaying.
+//
+//   table1_validator_stats [--days D] [--seed N]
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
   using namespace bmg;
-  const bench::Args args = bench::Args::parse(argc, argv, /*default_days=*/14.0);
+  bench::Args args{.days = 14.0};
+  bench::parse_flags(argc, argv, {bench::positive("--days", args.days),
+                                  bench::integer("--seed", args.seed, 0)});
   bench::print_header("Table I: validator signing statistics", args);
 
   relayer::Deployment d(bench::paper_config(args.seed));

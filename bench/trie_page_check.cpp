@@ -9,11 +9,11 @@
 // any divergence means page layout, eviction order or parallel shard
 // boundaries leaked into commitments, and the driver exits 1.
 //
-// Flags (strictly validated):
+//   trie_page_check [--steps N] [--seed N]
+//
 //   --steps N   workload steps (default 4000)
 //   --seed N    workload RNG seed (default 42)
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -96,27 +96,10 @@ Hash32 run_combo(const Combo& combo, std::size_t steps, std::uint64_t seed) {
 
 int main(int argc, char** argv) {
   using namespace bmg;
-  const char* prog = argv[0];
   std::size_t steps = 4000;
   std::uint64_t seed = 42;
-  for (int i = 1; i < argc; ++i) {
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: %s needs a value\n", prog, argv[i]);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--steps") == 0)
-      steps =
-          static_cast<std::size_t>(bmg::bench::parse_positive_long(prog, "--steps", next()));
-    else if (std::strcmp(argv[i], "--seed") == 0)
-      seed = bmg::bench::parse_uint64(prog, "--seed", next());
-    else {
-      std::fprintf(stderr, "%s: unknown flag '%s'\n", prog, argv[i]);
-      return 2;
-    }
-  }
+  bench::parse_flags(argc, argv, {bench::integer("--steps", steps),
+                                  bench::integer("--seed", seed, 0)});
 
   trie::PageStoreConfig mem;
   trie::PageStoreConfig file;
